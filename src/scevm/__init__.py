@@ -26,7 +26,9 @@ from .simulate import (
     DEFAULT_SEED,
     EvmEstimate,
     estimate_evm,
+    estimate_evm_rules,
     estimate_evm_symbol_level,
+    estimate_evm_symbol_level_rules,
 )
 from .sweep import (SweepRow, SweepSpec, analytic_formula, emit_csv,
                     formula_name, preset, run_sweep)
@@ -50,7 +52,9 @@ __all__ = [
     "analytic_formula",
     "emit_csv",
     "estimate_evm",
+    "estimate_evm_rules",
     "estimate_evm_symbol_level",
+    "estimate_evm_symbol_level_rules",
     "evm_fully_correlated",
     "evm_max_signal_correlated",
     "evm_max_signal_nakagami",

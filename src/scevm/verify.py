@@ -10,11 +10,14 @@ waveforms rather than channel powers.
 
 The Monte Carlo grid seeds each point from everything but the selection
 rule, so the two rules are compared on identical channel draws and the
-max-SIR rule must win draw by draw, not merely on average.
+max-SIR rule must win draw by draw, not merely on average. Each chunk of
+those draws is generated once and shared by both rules of a cell, and the
+symbol-level check likewise demodulates one set of gains and symbols under
+both rules; a grid re-run is per rule.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import analytic
 from .model import Fading, SelectionRule, SystemConfig
@@ -23,7 +26,8 @@ from .simulate import (
     DEFAULT_SEED,
     derive_seed,
     estimate_evm,
-    estimate_evm_symbol_level,
+    estimate_evm_rules,
+    estimate_evm_symbol_level_rules,
 )
 from .sweep import SweepRow, analytic_formula, cell_seed
 
@@ -234,11 +238,12 @@ def mc_grid(samples, seed=DEFAULT_SEED):
     rows = []
     first_estimates = {}
     for antennas, interferers, fading, rho, rules in _grid_cells():
-        for rule in rules:
-            cfg = SystemConfig(antennas, interferers, rule, fading, rho)
+        cell = SystemConfig(antennas, interferers, rules[0], fading, rho)
+        base_seed = cell_seed(seed, cell)
+        estimates = estimate_evm_rules(cell, rules, samples, seed=base_seed)
+        for rule, estimate in estimates.items():
+            cfg = replace(cell, rule=rule)
             exact = analytic_formula(cfg)
-            base_seed = cell_seed(seed, cfg)
-            estimate = estimate_evm(cfg, samples, seed=base_seed)
             first_estimates[(antennas, interferers, fading.m, rho, rule)] = estimate
             z = (estimate.mean - exact) / estimate.std_error
             retried = False
@@ -278,13 +283,18 @@ def mc_grid(samples, seed=DEFAULT_SEED):
 
 
 def symbol_level_checks(slots, blocks, seed=DEFAULT_SEED):
-    """Waveform-level estimator against the closed forms at L=2, M=1."""
+    """Waveform-level estimator against the closed forms at L=2, M=1.
+
+    Both rules demodulate the same drawn gains and symbols.
+    """
+    exacts = {SelectionRule.MAX_SIR: analytic.evm_max_sir_rayleigh(2, 1),
+              SelectionRule.MAX_SIGNAL: analytic.evm_max_signal_rayleigh(2, 1)}
+    estimates = estimate_evm_symbol_level_rules(
+        SystemConfig(2, 1, SelectionRule.MAX_SIR), tuple(exacts), slots, blocks,
+        seed=seed)
     checks = []
-    for rule, exact in (
-            (SelectionRule.MAX_SIR, analytic.evm_max_sir_rayleigh(2, 1)),
-            (SelectionRule.MAX_SIGNAL, analytic.evm_max_signal_rayleigh(2, 1))):
-        cfg = SystemConfig(2, 1, rule)
-        estimate = estimate_evm_symbol_level(cfg, slots, blocks, seed=seed)
+    for rule, exact in exacts.items():
+        estimate = estimates[rule]
         z = (estimate.mean - exact) / estimate.std_error
         checks.append(CheckResult(
             f"symbol-level {rule.value} L=2 M=1",

@@ -1,22 +1,28 @@
 """Channel simulator: determinism, distributional faithfulness, selection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from scevm import analytic
+from scevm import analytic, verify
 from scevm.model import ConfigError, Fading, SelectionRule, SystemConfig
 from scevm.simulate import (
     CHUNK,
     DEFAULT_SEED,
     _chunk_rng,
+    _collect,
+    _sum_interferers,
     derive_seed,
     draw_channels,
     estimate_evm,
+    estimate_evm_rules,
     estimate_evm_symbol_level,
+    estimate_evm_symbol_level_rules,
     select_antenna,
 )
+from scevm.sweep import emit_csv
 
 RAYLEIGH_21_SIR = SystemConfig(2, 1, SelectionRule.MAX_SIR)
 
@@ -271,3 +277,115 @@ def test_constellations_have_unit_energy():
     for name, points in CONSTELLATIONS.items():
         energy = float(np.square(np.abs(points)).mean())
         assert energy == pytest.approx(1.0, rel=1e-12), name
+
+
+BOTH_RULES = (SelectionRule.MAX_SIR, SelectionRule.MAX_SIGNAL)
+
+# (cfg, correlated_interferers); shape 0.01 makes selected gains underflow
+# now and then, so the power estimates at seed 4 reject a draw
+SHARED_DRAW_CASES = [
+    (SystemConfig(4, 4, SelectionRule.MAX_SIR), True),
+    (SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.6), True),
+    (SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.6), False),
+    (SystemConfig(2, 1, SelectionRule.MAX_SIR, Fading.nakagami(0.01)), True),
+]
+
+
+@pytest.mark.parametrize("cfg, correlated", SHARED_DRAW_CASES)
+def test_shared_draws_equal_single_rule_estimates(cfg, correlated):
+    samples = CHUNK + 1000
+    shared = estimate_evm_rules(cfg, BOTH_RULES, samples, seed=4,
+                                correlated_interferers=correlated)
+    assert tuple(shared) == BOTH_RULES
+    for rule in BOTH_RULES:
+        single = estimate_evm(replace(cfg, rule=rule), samples, seed=4,
+                              correlated_interferers=correlated)
+        assert shared[rule] == single, rule
+    if cfg.fading.m == 0.01:
+        assert all(e.rejected > 0 for e in shared.values())
+
+
+@pytest.mark.parametrize("cfg, correlated", SHARED_DRAW_CASES)
+def test_symbol_level_shared_draws_equal_single_rule_estimates(cfg, correlated):
+    # 2000 slots make 524-block chunks, so 1100 blocks span three chunks
+    shared = estimate_evm_symbol_level_rules(cfg, BOTH_RULES, 2000, 1100, seed=67,
+                                             correlated_interferers=correlated)
+    for rule in BOTH_RULES:
+        single = estimate_evm_symbol_level(replace(cfg, rule=rule), 2000, 1100,
+                                           seed=67, correlated_interferers=correlated)
+        assert shared[rule] == single, rule
+
+
+def test_rules_stop_taking_chunks_independently():
+    # max-SIR loses the first block of every chunk, so it needs a third
+    # chunk where max-signal is done after two; neither sees the other
+    draws = []
+
+    def draw(rng):
+        draws.append(1)
+        return rng.standard_normal(200)
+
+    def per_block(values, rule):
+        if rule is SelectionRule.MAX_SIR:
+            values = values.copy()
+            values[0] = np.nan
+        return values
+
+    def run(rules):
+        draws.clear()
+        return _collect(5, rules, 400, draw, per_block, lambda v: v, "{rejected}"), len(draws)
+
+    shared, shared_chunks = run(BOTH_RULES)
+    assert shared_chunks == 3
+    for rule, chunks in ((SelectionRule.MAX_SIR, 3), (SelectionRule.MAX_SIGNAL, 2)):
+        single, single_chunks = run((rule,))
+        assert single_chunks == chunks
+        parts, rejected = shared[rule]
+        assert len(parts) == chunks
+        assert rejected == single[rule][1] == (3 if rule is SelectionRule.MAX_SIR else 0)
+        assert np.array_equal(np.concatenate(parts), np.concatenate(single[rule][0]))
+
+
+def test_rules_are_validated():
+    with pytest.raises(ConfigError):
+        estimate_evm_rules(RAYLEIGH_21_SIR, (), 100)
+    with pytest.raises(ConfigError):
+        estimate_evm_rules(RAYLEIGH_21_SIR, ("max_sir",), 100)
+    with pytest.raises(ConfigError):
+        estimate_evm_symbol_level_rules("not a config", BOTH_RULES, 10, 100)
+
+
+@pytest.mark.parametrize("interferers", range(1, 8))
+def test_in_order_interferer_sum_is_numpys_below_eight(interferers):
+    power = _chunk_rng(71, interferers).standard_exponential((5000, 3, interferers))
+    assert np.array_equal(_sum_interferers(power), power.sum(axis=-1))
+
+
+@pytest.mark.parametrize("interferers", (8, 9, 16))
+def test_in_order_interferer_sum_is_exact_to_rounding(interferers):
+    # numpy sums eight or more terms pairwise; both orders are exact to
+    # rounding, so they agree to within a few ulps
+    power = _chunk_rng(73, interferers).standard_exponential((5000, 3, interferers))
+    np.testing.assert_allclose(_sum_interferers(power), power.sum(axis=-1),
+                               rtol=1e-15, atol=0.0)
+
+
+def test_verification_equals_per_rule_reference(monkeypatch):
+    def text(report):
+        return emit_csv(report.rows) + "".join(
+            f"{c.name}|{c.passed}|{c.detail}\n" for c in report.checks)
+
+    def per_rule(cfg, rules, samples, seed):
+        return {rule: estimate_evm(replace(cfg, rule=rule), samples, seed=seed)
+                for rule in rules}
+
+    def per_rule_symbol(cfg, rules, slots, blocks, seed):
+        return {rule: estimate_evm_symbol_level(replace(cfg, rule=rule), slots, blocks,
+                                                seed=seed)
+                for rule in rules}
+
+    args = dict(samples=200000, seed=7, include_symbol_level=True, slots=200, blocks=400)
+    shared = text(verify.run_verification(**args))
+    monkeypatch.setattr(verify, "estimate_evm_rules", per_rule)
+    monkeypatch.setattr(verify, "estimate_evm_symbol_level_rules", per_rule_symbol)
+    assert text(verify.run_verification(**args)) == shared

@@ -3,6 +3,7 @@ with Monte Carlo machinery to verify every formula from first principles."""
 
 from .analytic import (
     evm_fully_correlated,
+    evm_from_sir_cdf,
     evm_max_signal_correlated,
     evm_max_signal_nakagami,
     evm_max_signal_rayleigh,
@@ -56,6 +57,7 @@ __all__ = [
     "estimate_evm_symbol_level",
     "estimate_evm_symbol_level_rules",
     "evm_fully_correlated",
+    "evm_from_sir_cdf",
     "evm_max_signal_correlated",
     "evm_max_signal_nakagami",
     "evm_max_signal_rayleigh",

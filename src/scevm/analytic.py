@@ -116,6 +116,16 @@ def sir_cdf_best_antenna(x, cfg):
     return numerator / ((1.0 + xi) * root * (root + xi * math.sqrt(one_minus_r2)))
 
 
+def evm_from_sir_cdf(cfg):
+    """EVM by quadrature of its defining integral, integral_0^inf F_SIR'(x^-2) dx.
+
+    F_SIR' is sir_cdf_best_antenna, so cfg must be a configuration it
+    supports, and the moment must be finite.
+    """
+    return integrate_semi_infinite(
+        lambda x: 1.0 if x == 0.0 else sir_cdf_best_antenna(x ** -2.0, cfg)).value
+
+
 def evm_max_sir_rayleigh(antennas, interferers):
     """EVM under max-SIR selection, independent Rayleigh channels.
 
@@ -203,14 +213,8 @@ def evm_max_sir_nakagami(antennas, m):
         raise DivergentMomentError(
             f"EVM is infinite for antennas={antennas}, m={m}: the selected SIR "
             f"tail needs 2*antennas*m > 1")
-    fading = Fading.nakagami(m)
-
-    def integrand(x):
-        if x == 0.0:
-            return 1.0
-        return sir_cdf_single_antenna(x ** -2.0, 2, fading) ** antennas
-
-    return integrate_semi_infinite(integrand).value
+    return evm_from_sir_cdf(SystemConfig(antennas, 2, SelectionRule.MAX_SIR,
+                                         Fading.nakagami(m)))
 
 
 def _max_pair_density_log(x, m):
@@ -290,15 +294,8 @@ def evm_max_sir_correlated(rho):
     if not (0.0 <= rho < 1.0):
         raise UnsupportedDomainError(
             f"rho must lie in [0, 1), got {rho}; use evm_fully_correlated at rho = 1")
-    cfg = SystemConfig(antennas=2, interferers=1, rule=SelectionRule.MAX_SIR,
-                       fading=Fading.rayleigh(), rho=rho)
-
-    def integrand(x):
-        if x == 0.0:
-            return 1.0
-        return sir_cdf_best_antenna(x ** -2.0, cfg)
-
-    return integrate_semi_infinite(integrand).value
+    return evm_from_sir_cdf(SystemConfig(antennas=2, interferers=1,
+                                         rule=SelectionRule.MAX_SIR, rho=rho))
 
 
 def evm_max_signal_correlated(rho, interferers):

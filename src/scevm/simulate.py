@@ -18,10 +18,27 @@ once and share it among every rule requested; each rule's estimate is
 bit-for-bit the one its single-rule estimator gives. Interferer powers are
 summed per antenna in interferer index order, which can differ from numpy's
 pairwise `sum` in the last bit for eight or more interferers.
+
+The power-level estimators use one extra thread. While the caller draws,
+selects and reduces chunk c, a single module-level worker thread draws and
+selects chunk c+1, but only when every rule still needs chunk c+1 whatever
+chunk c keeps, so no chunk is drawn that a serial run would not draw. The
+bookkeeping stays on the caller, in chunk order, so the results are those of
+a serial run bit for bit. The two threads overlap because numpy releases
+the interpreter lock while it fills and combines arrays; a third would hold
+a third chunk in memory, for a core that two-core machines do not have. The
+symbol level keeps one chunk in flight: each of its chunks holds tens of
+megabytes of symbols, and overlapping two of them costs more memory than it
+saves time. Large temporaries are built in row slices of at most `_SLICE`
+values; generator fills are sequential and each row is reduced on its own,
+so slicing changes no bit.
 """
 
+import functools
 import hashlib
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +52,9 @@ DEFAULT_SEED = 12345
 CHUNK = 1 << 17
 
 _SYMBOL_CHUNK_SYMBOLS = 1 << 20
+# values per row slice of the interferer draws and the symbol-level error,
+# small enough for the slice's temporaries to stay in cache
+_SLICE = 1 << 16
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) * _INV_SQRT2
@@ -96,9 +116,24 @@ def _sum_interferers(power):
     same bits as power.sum(axis=-1); from eight on numpy sums pairwise, so
     the two can differ in the last bit.
     """
-    total = power[..., 0].copy()
-    for j in range(1, power.shape[-1]):
+    if power.shape[-1] == 1:
+        return power[..., 0].copy()
+    total = power[..., 0] + power[..., 1]
+    for j in range(2, power.shape[-1]):
         total += power[..., j]
+    return total
+
+
+def _interference_power(rng, count, antennas, interferers):
+    # the (count, antennas, interferers) exponentials, drawn and summed one
+    # row slice at a time; the fills are sequential, so the values are those
+    # of a single fill
+    total = np.empty((count, antennas))
+    step = max(1, _SLICE // (antennas * interferers))
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        total[start:stop] = _sum_interferers(
+            rng.standard_exponential((stop - start, antennas, interferers)))
     return total
 
 
@@ -125,21 +160,19 @@ def draw_channels(cfg, rng, count, correlated_interferers=True):
     antennas, interferers = cfg.antennas, cfg.interferers
     if cfg.rho > 0.0:
         desired = np.square(np.abs(_correlated_pair_gains(rng, count, cfg.rho)))
+        if not correlated_interferers:
+            return ChannelDraw(desired, _interference_power(rng, count, 2, interferers))
         interference = np.zeros((count, 2))
-        if correlated_interferers:
-            for _ in range(interferers):
-                gains = _correlated_pair_gains(rng, count, cfg.rho)
-                interference += np.square(np.abs(gains))
-        else:
-            interference += _sum_interferers(rng.standard_exponential((count, 2, interferers)))
+        for _ in range(interferers):
+            gains = _correlated_pair_gains(rng, count, cfg.rho)
+            interference += np.square(np.abs(gains))
         return ChannelDraw(desired, interference)
     if cfg.fading.is_rayleigh_equivalent:
         desired = rng.standard_exponential((count, antennas))
     else:
         m = cfg.fading.m
         desired = rng.gamma(m, 1.0 / m, (count, antennas))
-    interference = _sum_interferers(rng.standard_exponential((count, antennas, interferers)))
-    return ChannelDraw(desired, interference)
+    return ChannelDraw(desired, _interference_power(rng, count, antennas, interferers))
 
 
 def select_antenna(desired_power, interference_power, rule):
@@ -149,7 +182,7 @@ def select_antenna(desired_power, interference_power, rule):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = desired_power / interference_power
     # 0/0 antennas cannot win; x/0 is +inf and wins as it should
-    ratio = np.where(np.isnan(ratio), 0.0, ratio)
+    ratio[np.isnan(ratio)] = 0.0
     return np.argmax(ratio, axis=1)
 
 
@@ -167,7 +200,39 @@ def _check_rules(cfg, rules):
     return rules
 
 
-def _collect(stream, rules, wanted, draw, per_block, reduce, failure):
+# the worker thread and its job queue, started by the first estimate that
+# draws a chunk ahead; every job carries its own reply queue, so callers on
+# different threads only share the worker's time, never their results
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _work(jobs):
+    while True:
+        job, reply = jobs.get()
+        try:
+            reply.put((job(), None))
+        except BaseException as error:  # re-raised on the caller by _collect
+            reply.put((None, error))
+
+
+def _submit(job):
+    """Run job() on the worker thread; returns the queue its outcome goes to."""
+    global _worker
+    with _worker_lock:
+        # a forked child inherits the record of a thread it does not have
+        if _worker is None or not _worker[0].is_alive():
+            jobs = queue.SimpleQueue()
+            thread = threading.Thread(target=_work, args=(jobs,), daemon=True,
+                                      name="scevm-chunk-ahead")
+            thread.start()
+            _worker = thread, jobs
+        reply = queue.SimpleQueue()
+        _worker[1].put((job, reply))
+    return reply
+
+
+def _collect(stream, rules, wanted, draw, per_block, reduce, failure, ahead=None):
     """The chunk loop shared by both estimators.
 
     Chunk i is drawn once, by draw(rng) from the (stream, i) generator, and
@@ -178,35 +243,61 @@ def _collect(stream, rules, wanted, draw, per_block, reduce, failure):
     gives. NumericalError (message `failure`) is raised once a rule has
     rejected more than 1% of `wanted`.
 
+    With `ahead`, the number of blocks in a chunk, chunk i+1 is drawn and
+    selected on the worker thread while the caller handles chunk i, whenever
+    every rule still taking chunks would fall short of `wanted` even if it
+    kept all of chunk i. The keep-finite and reduce steps run on the caller
+    in chunk order, so the results are the serial ones; an exception raised
+    on the worker is raised here.
+
     Returns:
         {rule: (list of reduce() results in chunk order, rejected count)}.
     """
     kept = dict.fromkeys(rules, 0)
     rejected = dict.fromkeys(rules, 0)
     parts = {rule: [] for rule in rules}
-    chunk = 0
-    while any(count < wanted for count in kept.values()):
+
+    def draw_and_select(chunk, active):
         data = draw(_chunk_rng(stream, chunk))
-        for rule in rules:
-            need = wanted - kept[rule]
-            if need <= 0:
-                continue
-            values = per_block(data, rule)
-            # a zero or underflowed selected desired gain makes the value
-            # non-finite; such blocks are skipped and replaced by later ones
-            finite = np.flatnonzero(np.isfinite(values))
-            if finite.size >= need:
-                rejected[rule] += int(finite[need - 1]) + 1 - need
-                values = values[finite[:need]]
+        return [per_block(data, rule) for rule in active]
+
+    chunk = 0
+    drawn_ahead = None  # (rules, reply queue) of the next chunk, on the worker
+    try:
+        while any(count < wanted for count in kept.values()):
+            if drawn_ahead is not None:
+                active, reply = drawn_ahead
+                drawn_ahead = None
+                selected, error = reply.get()
+                if error is not None:
+                    raise error
             else:
-                rejected[rule] += values.size - finite.size
-                values = values[finite]
-            parts[rule].append(reduce(values))
-            kept[rule] += values.size
-            if rejected[rule] > 0.01 * wanted:
-                raise NumericalError(failure.format(rejected=rejected[rule],
-                                                    wanted=wanted))
-        chunk += 1
+                active = [rule for rule in rules if kept[rule] < wanted]
+                if ahead is not None and all(kept[rule] + ahead < wanted for rule in active):
+                    drawn_ahead = active, _submit(
+                        functools.partial(draw_and_select, chunk + 1, active))
+                selected = draw_and_select(chunk, active)
+            for rule, values in zip(active, selected):
+                need = wanted - kept[rule]
+                # a zero or underflowed selected desired gain makes the value
+                # non-finite; such blocks are skipped and replaced by later ones
+                finite = np.flatnonzero(np.isfinite(values))
+                if finite.size >= need:
+                    rejected[rule] += int(finite[need - 1]) + 1 - need
+                    values = values[finite[:need]]
+                else:
+                    rejected[rule] += values.size - finite.size
+                    values = values[finite]
+                parts[rule].append(reduce(values))
+                kept[rule] += values.size
+                if rejected[rule] > 0.01 * wanted:
+                    raise NumericalError(failure.format(rejected=rejected[rule],
+                                                        wanted=wanted))
+            chunk += 1
+    finally:
+        # leave no chunk running once the caller has an answer or an error
+        if drawn_ahead is not None:
+            drawn_ahead[1].get()
     return {rule: (parts[rule], rejected[rule]) for rule in rules}
 
 
@@ -250,7 +341,7 @@ def estimate_evm_rules(cfg, rules, samples, seed=DEFAULT_SEED,
     collected = _collect(
         derive_seed(seed, "power"), rules, samples, draw, per_block, reduce,
         "{rejected} draws with zero selected desired power while collecting "
-        "{wanted}; the configuration is too degenerate to average")
+        "{wanted}; the configuration is too degenerate to average", ahead=CHUNK)
     estimates = {}
     for rule, (sums, rejected) in collected.items():
         total = math.fsum(chunk_sum for chunk_sum, _ in sums)
@@ -331,6 +422,7 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
             f"unknown constellation {constellation!r}; "
             f"choose from {sorted(CONSTELLATIONS)}") from None
     per_chunk = max(1, _SYMBOL_CHUNK_SYMBOLS // slots)
+    step = max(1, _SLICE // slots)
 
     def draw(rng):
         desired_gain, interferer_gain = _draw_gains(
@@ -346,12 +438,18 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
         desired_gain, interferer_gain, data, noise_symbols, powers = chunk
         idx = select_antenna(*powers, rule)
         rows = np.arange(per_chunk)
-        h0 = desired_gain[rows, idx]
-        hj = interferer_gain[rows, idx, :]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            received = h0[:, None] * data + np.einsum("bj,bjs->bs", hj, noise_symbols)
-            error = received / h0[:, None] - data
-            return np.sqrt(np.square(np.abs(error)).mean(axis=1))
+        evm = np.empty(per_chunk)
+        # each block's EVM depends on its own row alone
+        for start in range(0, per_chunk, step):
+            span = slice(start, start + step)
+            h0 = desired_gain[rows[span], idx[span]]
+            hj = interferer_gain[rows[span], idx[span], :]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                received = (h0[:, None] * data[span]
+                            + np.einsum("bj,bjs->bs", hj, noise_symbols[span]))
+                error = received / h0[:, None] - data[span]
+                evm[span] = np.sqrt(np.square(np.abs(error)).mean(axis=1))
+        return evm
 
     collected = _collect(
         derive_seed(seed, "symbol", constellation, slots), rules, blocks,

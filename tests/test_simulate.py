@@ -1,12 +1,17 @@
 """Channel simulator: determinism, distributional faithfulness, selection."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from scevm import analytic, verify
+import scevm
+from scevm import analytic, simulate, verify
 from scevm.model import ConfigError, Fading, SelectionRule, SystemConfig
 from scevm.simulate import (
     CHUNK,
@@ -389,3 +394,177 @@ def test_verification_equals_per_rule_reference(monkeypatch):
     monkeypatch.setattr(verify, "estimate_evm_rules", per_rule)
     monkeypatch.setattr(verify, "estimate_evm_symbol_level_rules", per_rule_symbol)
     assert text(verify.run_verification(**args)) == shared
+
+
+# sliced draws: the row slices of _interference_power give the values of one
+# fill; the count is no multiple of any case's slice
+SLICED_COUNT = 50021
+SLICED_DRAW_CASES = [
+    (SystemConfig(4, 4, SelectionRule.MAX_SIR), True),
+    (SystemConfig(6, 2, SelectionRule.MAX_SIR, Fading.nakagami(0.5)), True),
+    (SystemConfig(2, 3, SelectionRule.MAX_SIR, rho=0.6), False),
+]
+
+
+def _one_shot_draw(cfg, rng, count):
+    # the whole (count, antennas, interferers) block in one fill, summed in
+    # interferer order
+    if cfg.rho > 0.0:
+        pairs = simulate._correlated_pair_gains(rng, count, cfg.rho)
+        desired = np.square(np.abs(pairs))
+    elif cfg.fading.is_rayleigh_equivalent:
+        desired = rng.standard_exponential((count, cfg.antennas))
+    else:
+        desired = rng.gamma(cfg.fading.m, 1.0 / cfg.fading.m, (count, cfg.antennas))
+    power = rng.standard_exponential((count, desired.shape[1], cfg.interferers))
+    interference = power[..., 0].copy()
+    for j in range(1, cfg.interferers):
+        interference += power[..., j]
+    return desired, interference
+
+
+@pytest.mark.parametrize("cfg, correlated", SLICED_DRAW_CASES)
+def test_sliced_draw_equals_one_shot_fill(cfg, correlated):
+    rows_per_slice = simulate._SLICE // (cfg.antennas * cfg.interferers)
+    assert SLICED_COUNT > rows_per_slice and SLICED_COUNT % rows_per_slice
+    draw = draw_channels(cfg, _chunk_rng(83, 2), SLICED_COUNT,
+                         correlated_interferers=correlated)
+    desired, interference = _one_shot_draw(cfg, _chunk_rng(83, 2), SLICED_COUNT)
+    assert np.array_equal(draw.desired_power, desired)
+    assert np.array_equal(draw.interference_power, interference)
+
+
+def _serial_estimates(cfg, rules, samples, seed):
+    # one rule and one chunk at a time, all on the calling thread
+    stream = derive_seed(seed, "power")
+    estimates = {}
+    for rule in rules:
+        sums, squares = [], []
+        for chunk in range(-(-samples // CHUNK)):
+            draw = draw_channels(cfg, _chunk_rng(stream, chunk), CHUNK)
+            idx = select_antenna(draw.desired_power, draw.interference_power, rule)
+            rows = np.arange(CHUNK)
+            values = np.sqrt(draw.interference_power[rows, idx]
+                             / draw.desired_power[rows, idx])
+            values = values[:samples - chunk * CHUNK]
+            assert np.all(np.isfinite(values))
+            sums.append(float(values.sum()))
+            squares.append(float(np.square(values).sum()))
+        mean = math.fsum(sums) / samples
+        variance = max(0.0, (math.fsum(squares) - samples * mean * mean) / (samples - 1))
+        estimates[rule] = simulate.EvmEstimate(mean, math.sqrt(variance / samples),
+                                               samples, 0)
+    return estimates
+
+
+@pytest.mark.parametrize("samples", (CHUNK - 1, CHUNK, 2 * CHUNK + 5, 10 ** 6))
+def test_chunks_drawn_ahead_equal_serial_reference(samples):
+    cfg = SystemConfig(3, 2, SelectionRule.MAX_SIR)
+    assert (estimate_evm_rules(cfg, BOTH_RULES, samples, seed=89)
+            == _serial_estimates(cfg, BOTH_RULES, samples, seed=89))
+
+
+@pytest.mark.parametrize("failing_chunk", (0, 1))
+def test_failed_draw_surfaces_and_next_estimate_works(monkeypatch, failing_chunk):
+    # chunk 0 is drawn on the calling thread while the worker draws chunk 1
+    cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
+    samples = 3 * CHUNK
+    expected = estimate_evm(cfg, samples, seed=97)
+    original = simulate.draw_channels
+    failed_on = []
+
+    def failing(cfg, rng, count, correlated_interferers=True):
+        if rng.bit_generator.state["state"]["key"][1] == failing_chunk:
+            failed_on.append(threading.current_thread())
+            raise RuntimeError(f"draw failed in chunk {failing_chunk}")
+        return original(cfg, rng, count, correlated_interferers)
+
+    monkeypatch.setattr(simulate, "draw_channels", failing)
+    with pytest.raises(RuntimeError, match=f"chunk {failing_chunk}"):
+        estimate_evm(cfg, samples, seed=97)
+    assert (failed_on[0] is threading.main_thread()) == (failing_chunk == 0)
+    monkeypatch.undo()
+    assert estimate_evm(cfg, samples, seed=97) == expected
+
+
+def test_estimates_are_frozen():
+    # values of the serial one-chunk-at-a-time loop, before chunks were
+    # drawn ahead and interferer draws sliced
+    l4m4 = estimate_evm(SystemConfig(4, 4, SelectionRule.MAX_SIR), 10 ** 6)
+    assert repr(l4m4) == ("EvmEstimate(mean=1.401352163074867, "
+                          "std_error=0.0005452347356034602, samples=1000000, rejected=0)")
+    rho = SystemConfig(2, 3, SelectionRule.MAX_SIR, rho=0.6)
+    frozen = {
+        (True, SelectionRule.MAX_SIR): (1.7658435689747263, 0.0021069573883341487),
+        (True, SelectionRule.MAX_SIGNAL): (1.8358498960607785, 0.0021991707167830113),
+        (False, SelectionRule.MAX_SIR): (1.7338921022467804, 0.002057477805933118),
+        (False, SelectionRule.MAX_SIGNAL): (1.8376001399853434, 0.002216805345659609),
+    }
+    for correlated in (True, False):
+        estimates = estimate_evm_rules(rho, BOTH_RULES, 300000, seed=5,
+                                       correlated_interferers=correlated)
+        for rule in BOTH_RULES:
+            mean, std_error = frozen[correlated, rule]
+            assert repr(estimates[rule]) == (f"EvmEstimate(mean={mean!r}, std_error="
+                                             f"{std_error!r}, samples=300000, rejected=0)")
+    symbol = estimate_evm_symbol_level_rules(SystemConfig(2, 2, SelectionRule.MAX_SIR),
+                                             BOTH_RULES, 2000, 600, seed=3)
+    assert repr(symbol[SelectionRule.MAX_SIR]) == (
+        "EvmEstimate(mean=1.2559467261705894, std_error=0.034936995628351536, "
+        "samples=600, rejected=0)")
+    assert repr(symbol[SelectionRule.MAX_SIGNAL]) == (
+        "EvmEstimate(mean=1.3353299833136516, std_error=0.03798417216838246, "
+        "samples=600, rejected=0)")
+
+
+def _fresh_python(code):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scevm.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_import_and_one_chunk_estimate_start_no_thread():
+    loaded, threads_after_one_chunk, threads_after_two, threads_after_more = _fresh_python(
+        "import sys, threading\n"
+        "import scevm\n"
+        "print(int(any(m in sys.modules for m in ('concurrent.futures', 'logging'))))\n"
+        "cfg = scevm.SystemConfig(2, 1, scevm.SelectionRule.MAX_SIR)\n"
+        "scevm.estimate_evm(cfg, 2)\n"
+        "print(threading.active_count())\n"
+        "scevm.estimate_evm(cfg, scevm.simulate.CHUNK + 1)\n"
+        "print(threading.active_count())\n"
+        "scevm.estimate_evm(cfg, 5 * scevm.simulate.CHUNK)\n"
+        "print(threading.active_count())\n")
+    assert loaded == "0"
+    assert threads_after_one_chunk == "1"
+    # the first estimate of two chunks starts the one worker; later ones reuse it
+    assert threads_after_two == threads_after_more == "2"
+
+
+def test_callers_on_several_threads_get_their_own_estimates():
+    # four callers share the one worker; a short switch interval makes their
+    # submissions interleave
+    cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
+    seeds = (101, 102, 103, 104)
+    expected = {seed: _serial_estimates(cfg, BOTH_RULES, 3 * CHUNK, seed) for seed in seeds}
+    got = {}
+
+    def call(seed):
+        got[seed] = estimate_evm_rules(cfg, BOTH_RULES, 3 * CHUNK, seed=seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(seed,)) for seed in seeds]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected

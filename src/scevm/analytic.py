@@ -7,10 +7,11 @@ the post-selection signal-to-interference ratio,
 
     EVM = E[sqrt(I' / g0')] = integral_0^inf F_SIR'(x^-2) dx,
 
-where F_SIR' is the CDF of the selected SIR. Each public function below
-evaluates that moment for one combination of selection rule, desired-channel
-fading law, and antenna correlation. Interferer channels are Rayleigh in
-every case.
+where F_SIR' is the CDF of the selected SIR. evm_from_sir_cdf evaluates
+that integral for either rule and every Nakagami L and M; the other public
+functions are closed forms and named special cases, one combination of
+selection rule, desired-channel fading law, and antenna correlation each.
+Interferer channels are Rayleigh in every case.
 """
 
 import math
@@ -41,9 +42,10 @@ def _validate_count(name, value):
 def sir_cdf_single_antenna(x, interferers, fading):
     """CDF of the SIR seen by one antenna.
 
-    For a Rayleigh desired channel the CDF is 1 - (1 + x)^-M for any number
-    of interferers M. For a Nakagami-m desired channel the algebraic form
-    implemented here is specific to M = 2 interferers.
+    A unit-mean Nakagami-m desired power (Rayleigh is m = 1) against M
+    unit-mean Rayleigh interferers gives the regularized incomplete beta
+    I_z(m, M) at z = m x / (1 + m x); for integer M that is the finite sum
+    of positive terms z^m sum_{k<M} (m)_k / k! (1 - z)^k.
 
     Args:
         x: SIR threshold, >= 0 (math.inf allowed).
@@ -56,35 +58,29 @@ def sir_cdf_single_antenna(x, interferers, fading):
     _validate_count("interferers", interferers)
     if not (x >= 0.0):
         raise UnsupportedDomainError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
     if math.isinf(x):
         return 1.0
-    if fading.kind == "rayleigh":
-        return 1.0 - (1.0 + x) ** (-float(interferers))
-    if interferers != 2:
-        raise UnsupportedDomainError(
-            "the Nakagami desired-channel SIR CDF is implemented for exactly 2 interferers")
     m = fading.m
     mx = m * x
-    # (m x)^m (1 + m + m x) / (1 + m x)^(1+m), evaluated in log space so
-    # large m x neither overflows nor loses the approach to 1
-    log_f = m * math.log(mx) + math.log1p(m + mx) - (1.0 + m) * math.log1p(mx)
-    return math.exp(log_f)
+    term = total = 1.0
+    for k in range(1, interferers):
+        # (m)_k / k! (1 - z)^k from its predecessor, with 1 - z = 1 / (1 + m x)
+        term *= (m + k - 1.0) / (k * (1.0 + mx))
+        total += term
+    return min(1.0, (mx / (1.0 + mx)) ** m * total)
 
 
 def sir_cdf_best_antenna(x, cfg):
-    """CDF of the SIR retained after antenna selection.
+    """CDF of the SIR retained by max-SIR antenna selection.
 
     Independent antennas (rho = 0) give the single-antenna CDF raised to
-    the antenna count, for either selection rule. Correlated antennas are
-    supported for the maximum-SIR rule with two antennas and one
-    interferer, where the classical two-branch closed form applies; it is
-    rearranged here so the two nearly equal terms never cancel.
+    the antenna count. Correlated antennas are supported with two antennas
+    and one interferer, where the classical two-branch closed form applies;
+    it is rearranged here so the two nearly equal terms never cancel.
 
     Args:
         x: SIR threshold, >= 0.
-        cfg: receiver configuration.
+        cfg: receiver configuration with the max_sir rule.
 
     Returns:
         P(selected SIR <= x) in [0, 1].
@@ -93,11 +89,10 @@ def sir_cdf_best_antenna(x, cfg):
         raise UnsupportedDomainError("cfg must be a SystemConfig")
     if not (x >= 0.0):
         raise UnsupportedDomainError(f"x must be nonnegative, got {x}")
+    if cfg.rule is not SelectionRule.MAX_SIR:
+        raise UnsupportedDomainError("the selected-SIR CDF is specific to the max_sir rule")
     if cfg.rho == 0.0:
         return sir_cdf_single_antenna(x, cfg.interferers, cfg.fading) ** cfg.antennas
-    if cfg.rule is not SelectionRule.MAX_SIR:
-        raise UnsupportedDomainError(
-            "the correlated selected-SIR CDF is specific to the max_sir rule")
     if cfg.interferers != 1:
         raise UnsupportedDomainError(
             "the correlated selected-SIR CDF is implemented for exactly 1 interferer")
@@ -117,13 +112,42 @@ def sir_cdf_best_antenna(x, cfg):
 
 
 def evm_from_sir_cdf(cfg):
-    """EVM by quadrature of its defining integral, integral_0^inf F_SIR'(x^-2) dx.
+    """EVM by quadrature of its defining integral, integral_0^inf F(x^-2) dx.
 
-    F_SIR' is sir_cdf_best_antenna, so cfg must be a configuration it
-    supports, and the moment must be finite.
+    Under max-SIR, F is sir_cdf_best_antenna. Under max-signal with
+    independent antennas the selection ignores the interferers, so F is the
+    CDF P(m, m y)^L of the selected desired power and the integral is scaled
+    by E[sqrt(I)] = Gamma(M + 1/2) / Gamma(M). Either F grows like y^(L m),
+    so the integrand decays like x^(-2 L m): the EVM is infinite for
+    2 L m <= 1 (DivergentMomentError). Beyond x = 1 the substitution x = t^p
+    with p = max(1, 1 / (2 L m - 1)) keeps that tail bounded; a tail too
+    slow to end within the double range (2 L m below about 1.02) raises
+    NumericalError.
     """
-    return integrate_semi_infinite(
-        lambda x: 1.0 if x == 0.0 else sir_cdf_best_antenna(x ** -2.0, cfg)).value
+    antennas, m = cfg.antennas, cfg.fading.m
+    tail = 2.0 * antennas * m
+    if tail <= 1.0:
+        raise DivergentMomentError(
+            f"EVM is infinite for antennas={antennas}, m={m}: the selected SIR "
+            f"tail needs 2*antennas*m > 1")
+    scale = 1.0
+    cdf = lambda y: sir_cdf_best_antenna(y, cfg)
+    if cfg.rule is SelectionRule.MAX_SIGNAL and cfg.rho == 0.0:
+        scale = gamma_ratio(cfg.interferers + 0.5, cfg.interferers)
+        cdf = lambda y: regularized_gamma_p(m, m * y) ** antennas
+    p = max(1.0, 1.0 / (tail - 1.0))
+
+    def integrand(t):
+        # x = t up to 1 and x = t^p beyond, where F(x^-2) decays; the seam
+        # t = 1 is a boundary of the quadrature's initial intervals
+        if t <= 1.0:
+            return cdf(t ** -2.0)
+        y = t ** (-2.0 * p)
+        if y == 0.0:
+            raise NumericalError(f"the x^-{tail:g} tail reaches past the double range")
+        return p * t ** (p - 1.0) * cdf(y)
+
+    return scale * integrate_semi_infinite(integrand).value
 
 
 def evm_max_sir_rayleigh(antennas, interferers):
@@ -191,8 +215,7 @@ def evm_max_sir_nakagami(antennas, m):
     """EVM under max-SIR selection, Nakagami-m desired channel, 2 interferers.
 
     No closed form is usable here without analytic continuation machinery,
-    so this integrates the selected-SIR CDF directly:
-    integral_0^inf F(x^-2)^L dx with the two-interferer Nakagami SIR CDF.
+    so this is evm_from_sir_cdf at M = 2.
 
     Args:
         antennas: number of antennas L >= 1.
@@ -209,72 +232,50 @@ def evm_max_sir_nakagami(antennas, m):
     _validate_count("antennas", antennas)
     if not (m > 0.0):
         raise UnsupportedDomainError(f"shape m must be positive, got {m}")
-    if 2.0 * antennas * m <= 1.0:
-        raise DivergentMomentError(
-            f"EVM is infinite for antennas={antennas}, m={m}: the selected SIR "
-            f"tail needs 2*antennas*m > 1")
     return evm_from_sir_cdf(SystemConfig(antennas, 2, SelectionRule.MAX_SIR,
                                          Fading.nakagami(m)))
-
-
-def _max_pair_density_log(x, m):
-    # density of the larger of two independent unit-mean Gamma(m, 1/m)
-    # powers: 2 P(m, m x) m^m x^(m-1) e^(-m x) / Gamma(m)
-    p = regularized_gamma_p(m, m * x)
-    if p == 0.0:
-        return None
-    return (math.log(2.0) + math.log(p) + m * math.log(m)
-            + (m - 1.0) * math.log(x) - m * x - log_gamma(m))
 
 
 def evm_max_signal_nakagami(m, interferers):
     """EVM under max-signal-power selection, Nakagami-m desired, 2 antennas.
 
-    Closed form: 2 Gamma(m - 1/2) sqrt(m) / Gamma(m) *
+    Closed form for m > 1/2: 2 Gamma(m - 1/2) sqrt(m) / Gamma(m) *
     (1 - 2F1(m - 1/2, 2m - 1/2; m + 1/2; -1) Gamma(2m - 1/2) /
     (Gamma(m) Gamma(m + 1/2))) * Gamma(M + 1/2) / Gamma(M).
 
-    The closed form is cross-checked on every call against direct
-    quadrature of the max-of-two-powers density; disagreement beyond 1e-7
-    raises, since it would mean one of the two routes is broken.
+    The closed form is cross-checked on every call against evm_from_sir_cdf;
+    disagreement beyond 1e-7 raises, since it would mean one of the two
+    routes is broken. For 1/4 < m <= 1/2 the closed form does not exist
+    and the integral is returned.
 
     Args:
-        m: Nakagami shape of the desired channel, must exceed 0.5.
+        m: Nakagami shape of the desired channel, > 0.
         interferers: number of interferers M >= 1.
 
     Returns:
         The EVM.
 
     Raises:
-        DivergentMomentError: for m <= 0.5, where Gamma(m - 1/2) in the
-            closed form blows up along with the single-channel half-inverse
-            moment it descends from.
+        DivergentMomentError: for m <= 1/4, where 2 L m <= 1.
     """
     _validate_count("interferers", interferers)
     if not (m > 0.0):
         raise UnsupportedDomainError(f"shape m must be positive, got {m}")
+    integral = evm_from_sir_cdf(SystemConfig(2, interferers, SelectionRule.MAX_SIGNAL,
+                                             Fading.nakagami(m)))
     if m <= 0.5:
-        raise DivergentMomentError(
-            f"EVM closed form requires m > 0.5, got m={m}: the half-inverse "
-            f"moment of a Gamma({m}) power does not exist")
+        return integral
     hyp = gauss_2f1(m - 0.5, 2.0 * m - 0.5, m + 0.5, -1.0)
     correction = hyp * math.exp(
         log_gamma(2.0 * m - 0.5) - log_gamma(m) - log_gamma(m + 0.5))
     desired_moment = (2.0 * math.exp(log_gamma(m - 0.5) - log_gamma(m))
                       * math.sqrt(m) * (1.0 - correction))
-
-    def density(x):
-        if x <= 0.0:
-            return 0.0
-        log_f = _max_pair_density_log(x, m)
-        return 0.0 if log_f is None else math.exp(log_f)
-
-    check = integrate_weighted_sqrt(density, "divide_by_sqrt").value
-    if abs(check - desired_moment) > 1e-7 * max(1.0, abs(desired_moment)):
+    evm = desired_moment * gamma_ratio(interferers + 0.5, interferers)
+    if abs(integral - evm) > 1e-7 * max(1.0, abs(evm)):
         raise NumericalError(
-            f"closed form {desired_moment!r} and quadrature {check!r} disagree "
+            f"closed form {evm!r} and quadrature {integral!r} disagree "
             f"for m={m}; refusing to return an unverified value")
-    return desired_moment * gamma_ratio(interferers + 0.5, interferers)
+    return evm
 
 
 def evm_max_sir_correlated(rho):
@@ -325,7 +326,7 @@ def evm_max_signal_correlated(rho, interferers):
         arg = math.sqrt(2.0 * x / one_minus_r2)
         return 2.0 * math.exp(-x) * (1.0 - marcum_q1(rho * arg, arg))
 
-    moment = integrate_weighted_sqrt(density, "divide_by_sqrt").value
+    moment = integrate_weighted_sqrt(density).value
     return moment * gamma_ratio(interferers + 0.5, interferers)
 
 

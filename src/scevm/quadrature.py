@@ -2,9 +2,9 @@
 
 Integrals over [0, inf) are compactified to the unit interval through
 x = t / (1 - t) and refined adaptively with the 15-point Kronrod rule and
-its embedded 7-point Gauss rule. The square-root weight that appears in
-every desired-power moment is removed analytically by the substitution
-x = t^2 rather than by clipping the integrand near zero.
+its embedded 7-point Gauss rule. The inverse square-root weight of a
+half-inverse moment is removed analytically by the substitution x = t^2
+rather than by clipping the integrand near zero.
 """
 
 import heapq
@@ -182,27 +182,19 @@ def integrate_semi_infinite(f, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
     return _adaptive_unit_interval(mapped, abs_tol, rel_tol, max_evaluations)
 
 
-def integrate_weighted_sqrt(f, mode, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
+def integrate_weighted_sqrt(f, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
                             max_evaluations=DEFAULT_MAX_EVALUATIONS):
-    """Integrate f with a square-root weight over [0, inf).
+    """Integrate f(x) / sqrt(x) over [0, inf).
 
-    The substitution x = t^2 removes the weight exactly:
-    "divide_by_sqrt" computes the integral of f(x) / sqrt(x) as
-    2 * integral of f(t^2), and "multiply_by_sqrt" computes the integral of
-    f(x) * sqrt(x) as 2 * integral of t^2 f(t^2).
+    The substitution x = t^2 removes the weight exactly: the result is
+    2 * integral of f(t^2).
 
     Args:
         f: integrand without the weight.
-        mode: "divide_by_sqrt" or "multiply_by_sqrt".
         abs_tol, rel_tol, max_evaluations: as for integrate_semi_infinite.
 
     Returns:
         QuadratureResult for the weighted integral.
     """
-    if mode == "divide_by_sqrt":
-        g = lambda t: 2.0 * f(t * t)
-    elif mode == "multiply_by_sqrt":
-        g = lambda t: 2.0 * t * t * f(t * t)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return integrate_semi_infinite(g, abs_tol, rel_tol, max_evaluations)
+    return integrate_semi_infinite(lambda t: 2.0 * f(t * t), abs_tol, rel_tol,
+                                   max_evaluations)

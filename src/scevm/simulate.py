@@ -317,8 +317,8 @@ def estimate_evm_rules(cfg, rules, samples, seed=DEFAULT_SEED,
 
     Returns:
         {rule: EvmEstimate}, in the order given. The standard error is the
-        empirical one; for heavy tailed configurations it converges slowly
-        but remains a valid basis for z scoring.
+        empirical one; it supports z scoring only where E[SIR'^-1] is
+        finite, which with independent antennas needs L m > 1.
     """
     rules = _check_rules(cfg, rules)
     if not isinstance(samples, int) or samples < 2:

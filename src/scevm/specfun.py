@@ -91,7 +91,12 @@ def _lower_gamma_series(s, z):
 
 
 def _upper_gamma_continued_fraction(s, z):
-    # modified Lentz evaluation of the classical continued fraction
+    # Q(s, z) by modified Lentz evaluation of the classical continued
+    # fraction; past z = 1e16 (b + 2 == b) the fraction may not converge,
+    # but its prefactor has underflowed long before
+    prefactor = math.exp(_log_gamma_prefactor(s, z))
+    if prefactor == 0.0:
+        return 0.0
     tiny = 1e-300
     b = z + 1.0 - s
     c = 1.0 / tiny
@@ -110,7 +115,7 @@ def _upper_gamma_continued_fraction(s, z):
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _REL_EPS:
-            return h
+            return prefactor * h
     raise NumericalError(f"incomplete gamma continued fraction failed to converge for s={s}, z={z}")
 
 
@@ -132,7 +137,7 @@ def regularized_gamma_p(s, z):
         return 0.0
     if z < s + 1.0:
         return math.exp(_log_gamma_prefactor(s, z)) * _lower_gamma_series(s, z)
-    return 1.0 - math.exp(_log_gamma_prefactor(s, z)) * _upper_gamma_continued_fraction(s, z)
+    return 1.0 - _upper_gamma_continued_fraction(s, z)
 
 
 def regularized_gamma_q(s, z):
@@ -156,7 +161,7 @@ def regularized_gamma_q(s, z):
         return 1.0
     if z < s + 1.0:
         return 1.0 - math.exp(_log_gamma_prefactor(s, z)) * _lower_gamma_series(s, z)
-    return math.exp(_log_gamma_prefactor(s, z)) * _upper_gamma_continued_fraction(s, z)
+    return _upper_gamma_continued_fraction(s, z)
 
 
 def _hypergeometric_series(a, b, c, z):

@@ -101,23 +101,21 @@ def _dispatch(cfg):
         if cfg.rule is SelectionRule.MAX_SIR:
             return "evm_max_sir_rayleigh", (cfg.antennas, cfg.interferers)
         return "evm_max_signal_rayleigh", (cfg.antennas, cfg.interferers)
-    if cfg.rule is SelectionRule.MAX_SIR:
-        if cfg.interferers != 2:
-            return None
+    if cfg.rule is SelectionRule.MAX_SIR and cfg.interferers == 2:
         return "evm_max_sir_nakagami", (cfg.antennas, cfg.fading.m)
-    if cfg.antennas != 2:
-        return None
-    return "evm_max_signal_nakagami", (cfg.fading.m, cfg.interferers)
+    if cfg.rule is SelectionRule.MAX_SIGNAL and cfg.antennas == 2:
+        return "evm_max_signal_nakagami", (cfg.fading.m, cfg.interferers)
+    return "evm_from_sir_cdf", (cfg,)
 
 
 def formula_name(cfg):
-    """Name of the closed form covering cfg, or None when none does."""
+    """Name of the analytic route covering cfg, or None when none does."""
     found = _dispatch(cfg)
     return None if found is None else found[0]
 
 
 def analytic_formula(cfg):
-    """Closed-form EVM for cfg, or None when no result covers it.
+    """Analytic EVM for cfg, or None when no route covers it.
 
     Raises:
         DivergentMomentError: a formula covers cfg but the EVM is infinite.

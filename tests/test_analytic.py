@@ -20,6 +20,7 @@ from scevm.model import (
     SystemConfig,
     UnsupportedDomainError,
 )
+from scevm.sweep import analytic_formula
 
 MAX_SIR_RAYLEIGH = {
     (1, 1): 1.570796326794896619231,
@@ -199,10 +200,89 @@ def test_sir_divergence_boundary(antennas, m):
         analytic.evm_max_sir_nakagami(antennas, m)
 
 
-@pytest.mark.parametrize("m", [0.5, 0.3, 0.1])
+@pytest.mark.parametrize("m", [0.25, 0.1])
 def test_signal_divergence_boundary(m):
+    # the larger of two Gamma(m) powers has a CDF like x^(2m) near 0, so
+    # its half-inverse moment is infinite exactly for 4 m <= 1
     with pytest.raises(DivergentMomentError):
         analytic.evm_max_signal_nakagami(m, 1)
+
+
+def _exact_single_antenna(m, interferers):
+    # at L = 1 the SIR factorizes: E[sqrt(I)] E[g^-1/2]
+    return math.sqrt(m) * math.exp(
+        math.lgamma(interferers + 0.5) - math.lgamma(interferers)
+        + math.lgamma(m - 0.5) - math.lgamma(m))
+
+
+@pytest.mark.parametrize("rule", list(SelectionRule))
+@pytest.mark.parametrize("m", [0.55, 0.6, 0.75, 2.0])
+@pytest.mark.parametrize("interferers", [1, 2, 4])
+def test_defining_integral_single_antenna_exact(rule, m, interferers):
+    cfg = SystemConfig(1, interferers, rule, Fading.nakagami(m))
+    assert analytic.evm_from_sir_cdf(cfg) == pytest.approx(
+        _exact_single_antenna(m, interferers), rel=1e-12)
+
+
+def _quad_oracle(rule, antennas, interferers, m):
+    # the defining integral by QUADPACK over scipy's incomplete gamma and
+    # beta functions: with u = x^-2 it is (1/2) int_0^1 u^-3/2 F(u) du plus
+    # int_0^1 F(v^-2) dv, and near 0 F(u) = u^(L m) times a smooth factor,
+    # which the algebraic weight of quad takes exactly
+    from scipy import integrate, special
+
+    a = antennas * m
+    if rule is SelectionRule.MAX_SIGNAL:
+        cdf = lambda u: special.gammainc(m, m * u) ** antennas
+        at_zero = (m ** m / math.gamma(m + 1.0)) ** antennas
+        scale = math.exp(math.lgamma(interferers + 0.5) - math.lgamma(interferers))
+    else:
+        cdf = lambda u: special.betainc(m, interferers, m * u / (1.0 + m * u)) ** antennas
+        at_zero = (m ** (m - 1.0) / special.beta(m, interferers)) ** antennas
+        scale = 1.0
+    near, _ = integrate.quad(lambda u: at_zero if u == 0.0 else cdf(u) / u ** a,
+                             0.0, 1.0, weight="alg", wvar=(a - 1.5, 0.0),
+                             epsabs=0.0, epsrel=1e-13, limit=200)
+    far, _ = integrate.quad(lambda v: cdf(v ** -2.0), 0.0, 1.0,
+                            epsabs=0.0, epsrel=1e-13, limit=200)
+    return scale * (0.5 * near + far)
+
+
+@pytest.mark.parametrize("rule,antennas,interferers,m", [
+    (SelectionRule.MAX_SIGNAL, 2, 1, 0.3),
+    (SelectionRule.MAX_SIGNAL, 2, 1, 0.4),
+    (SelectionRule.MAX_SIGNAL, 2, 1, 0.5),
+    (SelectionRule.MAX_SIR, 2, 2, 0.3),
+    (SelectionRule.MAX_SIR, 3, 2, 0.2),
+])
+def test_defining_integral_heavy_tail_against_scipy(rule, antennas, interferers, m):
+    # 1 < 2 L m < 2, so the integrand decays like x^(-2 L m), slower than
+    # x^-2; the routes are evm_max_sir_nakagami (M = 2) and
+    # evm_max_signal_nakagami (L = 2), here where its closed form does not exist
+    cfg = SystemConfig(antennas, interferers, rule, Fading.nakagami(m))
+    assert analytic_formula(cfg) == pytest.approx(
+        _quad_oracle(rule, antennas, interferers, m), rel=1e-9)
+
+
+@pytest.mark.parametrize("rule", list(SelectionRule))
+@pytest.mark.parametrize("m", [0.5001, 0.505, 0.51])
+def test_defining_integral_beyond_double_range_raises(rule, m):
+    # finite, but the x^(-2 L m) tail holds mass past x = 2^537, where
+    # x^-2 underflows; the value must not be returned short of that mass
+    cfg = SystemConfig(1, 2, rule, Fading.nakagami(m))
+    with pytest.raises(NumericalError) as info:
+        analytic.evm_from_sir_cdf(cfg)
+    assert not isinstance(info.value, DivergentMomentError)
+
+
+def test_defining_integral_max_signal_rayleigh():
+    assert analytic.evm_from_sir_cdf(SystemConfig(2, 1, "max_signal")) == pytest.approx(
+        math.pi * (1.0 - 1.0 / math.sqrt(2.0)), abs=1e-10)
+    for antennas in (1, 2, 3, 4):
+        for interferers in (1, 3):
+            cfg = SystemConfig(antennas, interferers, "max_signal")
+            assert analytic.evm_from_sir_cdf(cfg) == pytest.approx(
+                analytic.evm_max_signal_rayleigh(antennas, interferers), rel=1e-9)
 
 
 def test_series_range_guard():
@@ -246,9 +326,16 @@ def test_single_antenna_cdf_nakagami_frozen(args, want):
     assert got == pytest.approx(want, rel=1e-13)
 
 
-def test_single_antenna_cdf_nakagami_needs_two_interferers():
-    with pytest.raises(UnsupportedDomainError):
-        analytic.sir_cdf_single_antenna(1.0, 3, Fading.nakagami(2.0))
+def test_single_antenna_cdf_matches_betainc():
+    # I_z(m, M) at z = m x / (1 + m x), for every M and shape
+    from scipy.special import betainc
+
+    for interferers in (1, 3, 4, 7):
+        for m in (0.3, 1.0, 2.5, 7.0):
+            for x in (1e-6, 0.01, 0.3, 1.0, 4.0, 1e3):
+                want = betainc(m, interferers, m * x / (1.0 + m * x))
+                got = analytic.sir_cdf_single_antenna(x, interferers, Fading.nakagami(m))
+                assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_cdf_shape_properties():
@@ -311,6 +398,13 @@ def test_best_antenna_cdf_correlated_guards():
     with pytest.raises(UnsupportedDomainError):
         analytic.sir_cdf_best_antenna(
             1.0, SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.5))
+
+
+def test_best_antenna_cdf_rejects_max_signal():
+    # max-signal keeps the strongest desired channel, not the best SIR, so
+    # the CDF of the largest SIR is not its law even with independent antennas
+    with pytest.raises(UnsupportedDomainError):
+        analytic.sir_cdf_best_antenna(1.0, SystemConfig(2, 1, SelectionRule.MAX_SIGNAL))
 
 
 def test_signal_rule_closed_form_is_cross_checked(monkeypatch):

@@ -97,15 +97,14 @@ def test_divergent_moment_exits_2(capsys):
 
 
 def test_uncovered_configuration_without_mc_exits_1(capsys):
-    code = main(["eval", "--fading", "nakagami", "--md", "2",
-                 "--M", "3", "--rule", "max-sir", "--L", "2"])
+    code = main(["eval", "--rho", "0.5", "--M", "2", "--rule", "max-sir", "--L", "2"])
     assert code == 1
     assert "--mc" in capsys.readouterr().err
 
 
 def test_uncovered_configuration_with_mc_succeeds(capsys):
-    code = main(["eval", "--fading", "nakagami", "--md", "2", "--M", "3",
-                 "--rule", "max-sir", "--L", "2", "--mc", "--samples", "5000"])
+    code = main(["eval", "--rho", "0.5", "--M", "2", "--rule", "max-sir",
+                 "--L", "2", "--mc", "--samples", "5000"])
     out = capsys.readouterr().out
     assert code == 0
     assert "analytic evm: none" in out and "mc evm:" in out

@@ -6,7 +6,6 @@ import pytest
 
 from scevm.analytic import sir_cdf_single_antenna
 from scevm.model import Fading, NumericalError
-from scevm.specfun import gamma_ratio
 from scevm.quadrature import (
     AccuracyNotReachedError,
     QuadratureResult,
@@ -56,20 +55,9 @@ def test_non_finite_integrand_is_rejected():
 
 
 def test_weighted_sqrt_modes():
-    # int_0^inf x^-1/2 e^-x dx = Gamma(1/2), int_0^inf x^1/2 e^-x dx = Gamma(3/2)
-    divide = integrate_weighted_sqrt(lambda x: math.exp(-x), "divide_by_sqrt")
+    # int_0^inf x^-1/2 e^-x dx = Gamma(1/2)
+    divide = integrate_weighted_sqrt(lambda x: math.exp(-x))
     assert divide.value == pytest.approx(math.sqrt(math.pi), rel=1e-9)
-    multiply = integrate_weighted_sqrt(lambda x: math.exp(-x), "multiply_by_sqrt")
-    assert multiply.value == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-9)
-    with pytest.raises(ValueError):
-        integrate_weighted_sqrt(lambda x: math.exp(-x), "no_such_mode")
-
-
-def test_weighted_sqrt_gamma_density_half_moment():
-    # sqrt-moment of a unit-rate gamma density is a ratio of gamma values
-    result = integrate_weighted_sqrt(
-        lambda y: y * y * math.exp(-y) / 2.0, "multiply_by_sqrt")
-    assert result.value == pytest.approx(gamma_ratio(3.5, 3.0), rel=1e-9)
 
 
 def test_linearity():
@@ -106,7 +94,7 @@ def test_substitution_invariance(antennas, interferers):
             return 0.5
         return 0.5 * _selected_cdf(1.0 / u, antennas, interferers)
 
-    via_tail = integrate_weighted_sqrt(tail_weighted, "divide_by_sqrt").value
-    via_head = integrate_weighted_sqrt(head_weighted, "divide_by_sqrt").value
+    via_tail = integrate_weighted_sqrt(tail_weighted).value
+    via_head = integrate_weighted_sqrt(head_weighted).value
     assert via_tail == pytest.approx(reference, abs=1e-8)
     assert via_head == pytest.approx(reference, abs=1e-8)

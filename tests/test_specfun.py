@@ -162,6 +162,17 @@ def test_regularized_gamma_edges():
     assert regularized_gamma_q(1.0, 3.0) == pytest.approx(math.exp(-3.0), rel=1e-13)
 
 
+def test_regularized_gamma_far_tail():
+    # beyond z = 1e16 the continued fraction converges only where its first
+    # step happens to round to 1, but its prefactor e^-z z^s / Gamma(s)
+    # underflowed long before
+    for s in (0.3, 0.55, 2.0):
+        for exponent in [3] + list(range(17, 301, 7)):
+            z = 1.6 * 10.0 ** exponent
+            assert regularized_gamma_p(s, z) == 1.0
+            assert regularized_gamma_q(s, z) == 0.0
+
+
 def test_regularized_gamma_against_scipy():
     s = 0.1
     while s < 500.0:

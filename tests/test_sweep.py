@@ -14,6 +14,7 @@ from scevm.model import (
     SelectionRule,
     SystemConfig,
 )
+from scevm.simulate import estimate_evm
 from scevm.sweep import (
     CSV_HEADER,
     SweepSpec,
@@ -83,10 +84,12 @@ def test_dispatch_routes():
     assert analytic_formula(
         SystemConfig(3, 3, "max_sir", Fading.nakagami(1.0))) == pytest.approx(
         analytic.evm_max_sir_rayleigh(3, 3), rel=1e-13)
-    assert analytic_formula(
-        SystemConfig(3, 3, "max_sir", Fading.nakagami(2.0))) is None
-    assert analytic_formula(
-        SystemConfig(3, 2, "max_signal", Fading.nakagami(2.0))) is None
+    # Nakagami outside the named M = 2 and L = 2 cases: the defining integral
+    for cfg in (SystemConfig(3, 3, "max_sir", Fading.nakagami(2.0)),
+                SystemConfig(3, 2, "max_signal", Fading.nakagami(2.0))):
+        assert analytic_formula(cfg) == pytest.approx(
+            analytic.evm_from_sir_cdf(cfg), rel=1e-13)
+    assert analytic_formula(SystemConfig(2, 3, "max_sir", rho=0.5)) is None
     assert analytic_formula(
         SystemConfig(2, 2, "max_sir", Fading.nakagami(2.0))) == pytest.approx(
         analytic.evm_max_sir_nakagami(2, 2.0), rel=1e-12)
@@ -98,11 +101,25 @@ def test_formula_name_matches_route():
         SystemConfig(2, 3, "max_signal", rho=0.5)) == "evm_max_signal_correlated"
     assert formula_name(SystemConfig(2, 3, "max_sir", rho=1.0)) == \
         "evm_fully_correlated"
-    assert formula_name(SystemConfig(3, 3, "max_sir", Fading.nakagami(2.0))) is None
+    assert formula_name(SystemConfig(3, 3, "max_sir", Fading.nakagami(2.0))) == \
+        "evm_from_sir_cdf"
+    assert formula_name(SystemConfig(2, 3, "max_sir", rho=0.5)) is None
     # naming never evaluates, so even divergent points report their route
     assert formula_name(
-        SystemConfig(2, 1, "max_signal", Fading.nakagami(0.4))) == \
+        SystemConfig(2, 1, "max_signal", Fading.nakagami(0.2))) == \
         "evm_max_signal_nakagami"
+
+
+@pytest.mark.parametrize("cfg", [
+    SystemConfig(3, 2, "max_signal", Fading.nakagami(2.0)),
+    SystemConfig(2, 3, "max_sir", Fading.nakagami(2.0)),
+])
+def test_defining_integral_routes_agree_with_monte_carlo(cfg):
+    # configurations no named formula covers, through evm_from_sir_cdf
+    assert formula_name(cfg) == "evm_from_sir_cdf"
+    exact = analytic_formula(cfg)
+    estimate = estimate_evm(cfg, 1000000, seed=1)
+    assert abs(estimate.mean - exact) <= 3.0 * estimate.std_error
 
 
 def test_cell_seed_ignores_rule_only():
@@ -116,7 +133,7 @@ def test_cell_seed_ignores_rule_only():
 
 
 def test_run_sweep_statuses():
-    spec = SweepSpec(axis="m_d", values=(0.4, 0.6, 1.5),
+    spec = SweepSpec(axis="m_d", values=(0.2, 0.6, 1.5),
                      base=SystemConfig(2, 1, SelectionRule.MAX_SIGNAL,
                                        Fading.nakagami(1.0)),
                      samples=5000, seed=1)
@@ -141,9 +158,8 @@ def test_run_sweep_unsupported_configuration():
 
 
 def test_run_sweep_uncovered_configuration_still_simulates():
-    spec = SweepSpec(axis="M", values=(2, 3),
-                     base=SystemConfig(3, 2, SelectionRule.MAX_SIR,
-                                       Fading.nakagami(2.0)),
+    spec = SweepSpec(axis="M", values=(1, 2),
+                     base=SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.5),
                      samples=5000, seed=1)
     rows = run_sweep(spec)
     assert rows[0].status == "ok"
@@ -191,13 +207,13 @@ def test_csv_header_and_round_trip():
 
 
 def test_csv_empty_fields_for_missing_values():
-    spec = SweepSpec(axis="m_d", values=(0.4,),
+    spec = SweepSpec(axis="m_d", values=(0.2,),
                      base=SystemConfig(2, 1, SelectionRule.MAX_SIGNAL,
                                        Fading.nakagami(1.0)),
                      samples=2000, seed=3)
     text = emit_csv(run_sweep(spec))
     line = text.splitlines()[1]
-    assert line == "2,1,max_signal,0.4,0,,,,,diverged"
+    assert line == "2,1,max_signal,0.2,0,,,,,diverged"
 
 
 def test_sweep_rerun_is_byte_identical():

@@ -24,8 +24,9 @@ from .model import (
     SeriesRangeError,
     SystemConfig,
     UnsupportedDomainError,
+    is_count,
 )
-from .quadrature import integrate_semi_infinite, integrate_weighted_sqrt
+from .quadrature import integrate_semi_infinite
 from .specfun import gamma_ratio, gauss_2f1, log_gamma, marcum_q1, regularized_gamma_p
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -35,7 +36,7 @@ _MAX_ANTENNA_INTERFERER_PRODUCT = 150
 
 
 def _validate_count(name, value):
-    if not isinstance(value, int) or value < 1:
+    if not is_count(value):
         raise UnsupportedDomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -124,6 +125,8 @@ def evm_from_sir_cdf(cfg):
     slow to end within the double range (2 L m below about 1.02) raises
     NumericalError.
     """
+    if not isinstance(cfg, SystemConfig):
+        raise UnsupportedDomainError("cfg must be a SystemConfig")
     antennas, m = cfg.antennas, cfg.fading.m
     tail = 2.0 * antennas * m
     if tail <= 1.0:
@@ -304,8 +307,8 @@ def evm_max_signal_correlated(rho, interferers):
 
     The larger of two correlated unit-mean exponential powers has density
     2 e^-x (1 - Q_1(rho sqrt(2x/(1-rho^2)), sqrt(2x/(1-rho^2)))); its
-    half-inverse moment is integrated with the square-root weight removed
-    by substitution, then scaled by Gamma(M + 1/2) / Gamma(M).
+    half-inverse moment is integrated as 2 density(t^2) over t = sqrt(x),
+    which removes the weight, then scaled by Gamma(M + 1/2) / Gamma(M).
 
     Args:
         rho: correlation coefficient of the complex channel gains, in [0, 1).
@@ -326,7 +329,7 @@ def evm_max_signal_correlated(rho, interferers):
         arg = math.sqrt(2.0 * x / one_minus_r2)
         return 2.0 * math.exp(-x) * (1.0 - marcum_q1(rho * arg, arg))
 
-    moment = integrate_weighted_sqrt(density).value
+    moment = integrate_semi_infinite(lambda t: 2.0 * density(t * t)).value
     return moment * gamma_ratio(interferers + 0.5, interferers)
 
 

@@ -32,6 +32,11 @@ class SeriesRangeError(NumericalError):
     """An alternating series would lose all significant digits."""
 
 
+def is_count(value):
+    """True for an int >= 1; bool is an int subclass but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 class SelectionRule(str, Enum):
     """Antenna selection rule applied per block."""
 
@@ -95,10 +100,10 @@ class SystemConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "rule", SelectionRule(self.rule))
-        if not isinstance(self.antennas, int) or self.antennas < 1:
-            raise ConfigError(f"antennas must be an integer >= 1, got {self.antennas!r}")
-        if not isinstance(self.interferers, int) or self.interferers < 1:
-            raise ConfigError(f"interferers must be an integer >= 1, got {self.interferers!r}")
+        for name in ("antennas", "interferers"):
+            if not is_count(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer >= 1, "
+                                  f"got {getattr(self, name)!r}")
         if not isinstance(self.fading, Fading):
             raise ConfigError("fading must be a Fading instance")
         if not (0.0 <= self.rho <= 1.0):

@@ -4,7 +4,8 @@ Integrals over [0, inf) are compactified to the unit interval through
 x = t / (1 - t) and refined adaptively with the 15-point Kronrod rule and
 its embedded 7-point Gauss rule. The inverse square-root weight of a
 half-inverse moment is removed analytically by the substitution x = t^2
-rather than by clipping the integrand near zero.
+rather than by clipping the integrand near zero: the caller integrates
+2 f(t^2). Every integral meets the tolerances and budget set below.
 """
 
 import heapq
@@ -42,9 +43,10 @@ _WG = (
     0.417959183673469,
 )
 
-DEFAULT_ABS_TOL = 1e-10
-DEFAULT_REL_TOL = 1e-9
-DEFAULT_MAX_EVALUATIONS = 200000
+# error targets (the looser wins) and evaluation budget, read at call time
+ABS_TOL = 1e-10
+REL_TOL = 1e-9
+MAX_EVALUATIONS = 200000
 
 
 @dataclass(frozen=True)
@@ -90,15 +92,11 @@ def _kronrod_interval(f, lo, hi):
 _INITIAL_INTERVALS = 16
 
 
-def _adaptive_unit_interval(f, abs_tol, rel_tol, max_evaluations):
+def _adaptive_unit_interval(f):
     # heap of (-error, insertion order, lo, hi, value, error); ties broken
     # by insertion order so refinement is deterministic. Seeding with more
     # than one interval keeps features narrower than the node spacing of a
     # single 15-point rule from slipping through with a zero error estimate.
-    floor = _INITIAL_INTERVALS * 15 + 30
-    if max_evaluations < floor:
-        raise ValueError(
-            f"max_evaluations must be at least {floor}, got {max_evaluations}")
     counter = 0
     heap = []
     evaluations = 0
@@ -112,16 +110,11 @@ def _adaptive_unit_interval(f, abs_tol, rel_tol, max_evaluations):
     heapq.heapify(heap)
     total_value = math.fsum(item[4] for item in heap)
     total_error = math.fsum(item[5] for item in heap)
-    while total_error > max(abs_tol, rel_tol * abs(total_value)):
-        if evaluations + 30 > max_evaluations:
-            best = QuadratureResult(
-                math.fsum(item[4] for item in heap),
-                math.fsum(item[5] for item in heap),
-                evaluations,
-            )
+    while total_error > max(ABS_TOL, REL_TOL * abs(total_value)):
+        if evaluations + 30 > MAX_EVALUATIONS:
             raise AccuracyNotReachedError(
                 f"estimated error {total_error:.3e} above tolerance after "
-                f"{evaluations} evaluations", best)
+                f"{evaluations} evaluations", _result(heap, evaluations))
         neg_err, _, lo, hi, v, e = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -140,31 +133,28 @@ def _adaptive_unit_interval(f, abs_tol, rel_tol, max_evaluations):
         heapq.heappush(heap, (-el, counter, lo, mid, vl, el))
         counter += 1
         heapq.heappush(heap, (-er, counter, mid, hi, vr, er))
-    return QuadratureResult(
-        math.fsum(item[4] for item in heap),
-        math.fsum(item[5] for item in heap),
-        evaluations,
-    )
+    return _result(heap, evaluations)
 
 
-def integrate_semi_infinite(f, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
-                            max_evaluations=DEFAULT_MAX_EVALUATIONS):
-    """Integrate f over [0, inf) to the requested tolerance.
+def _result(heap, evaluations):
+    return QuadratureResult(math.fsum(item[4] for item in heap),
+                            math.fsum(item[5] for item in heap), evaluations)
+
+
+def integrate_semi_infinite(f):
+    """Integrate f over [0, inf) to within max(ABS_TOL, REL_TOL |value|).
 
     Args:
         f: integrand, defined and finite on (0, inf). Endpoint singularities
             that are integrable are handled by adaptive refinement; the rule
             never evaluates f at 0 or at the compactified image of infinity.
-        abs_tol: absolute error target.
-        rel_tol: relative error target; the looser of the two wins.
-        max_evaluations: budget of integrand evaluations.
 
     Returns:
         QuadratureResult with the value, an error estimate, and the
         evaluation count.
 
     Raises:
-        AccuracyNotReachedError: if the budget is exhausted first; the
+        AccuracyNotReachedError: if MAX_EVALUATIONS run out first; the
             exception carries the best estimate.
     """
     def mapped(t):
@@ -179,22 +169,4 @@ def integrate_semi_infinite(f, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
             return 0.0
         raise NumericalError(f"integrand returned a non-finite value at x = {t / w}")
 
-    return _adaptive_unit_interval(mapped, abs_tol, rel_tol, max_evaluations)
-
-
-def integrate_weighted_sqrt(f, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
-                            max_evaluations=DEFAULT_MAX_EVALUATIONS):
-    """Integrate f(x) / sqrt(x) over [0, inf).
-
-    The substitution x = t^2 removes the weight exactly: the result is
-    2 * integral of f(t^2).
-
-    Args:
-        f: integrand without the weight.
-        abs_tol, rel_tol, max_evaluations: as for integrate_semi_infinite.
-
-    Returns:
-        QuadratureResult for the weighted integral.
-    """
-    return integrate_semi_infinite(lambda t: 2.0 * f(t * t), abs_tol, rel_tol,
-                                   max_evaluations)
+    return _adaptive_unit_interval(mapped)

@@ -6,7 +6,9 @@ desired) per draw; it assumes only the data-aided EVM reduction, none of
 the order-statistics or integration results. `estimate_evm_symbol_level`
 goes one layer deeper: it draws complex gains and random data symbols,
 forms the received waveform, equalizes, and measures the error vector
-directly, so the reduction itself is also under test.
+directly, so the reduction itself is also under test. Both estimators
+draw one channel model, the one the closed forms assume: with rho > 0 the
+desired pair and every interferer pair are correlated with the same rho.
 
 Draws are organized in fixed-size chunks keyed by (seed, chunk index)
 through a counter-based generator, so a given (config, seed) pair yields
@@ -137,21 +139,19 @@ def _interference_power(rng, count, antennas, interferers):
     return total
 
 
-def draw_channels(cfg, rng, count, correlated_interferers=True):
+def draw_channels(cfg, rng, count):
     """Draw `count` fading blocks of per-antenna powers.
 
     Desired powers follow cfg.fading (unit mean); each interferer
     contributes a unit-mean exponential power, summed per antenna. With
     cfg.rho > 0 the two antennas' gains form correlated complex-normal
-    pairs, for the interferers too unless `correlated_interferers` is
-    cleared.
+    pairs, for the desired user and every interferer alike: the antenna
+    spacing correlates every signal that reaches the pair.
 
     Args:
         cfg: receiver configuration.
         rng: numpy Generator to consume.
         count: number of fading blocks.
-        correlated_interferers: couple the interferer pair with cfg.rho
-            as well (only meaningful when cfg.rho > 0).
 
     Returns:
         ChannelDraw of shape (count, cfg.antennas) arrays.
@@ -160,8 +160,6 @@ def draw_channels(cfg, rng, count, correlated_interferers=True):
     antennas, interferers = cfg.antennas, cfg.interferers
     if cfg.rho > 0.0:
         desired = np.square(np.abs(_correlated_pair_gains(rng, count, cfg.rho)))
-        if not correlated_interferers:
-            return ChannelDraw(desired, _interference_power(rng, count, 2, interferers))
         interference = np.zeros((count, 2))
         for _ in range(interferers):
             gains = _correlated_pair_gains(rng, count, cfg.rho)
@@ -301,8 +299,7 @@ def _collect(stream, rules, wanted, draw, per_block, reduce, failure, ahead=None
     return {rule: (parts[rule], rejected[rule]) for rule in rules}
 
 
-def estimate_evm_rules(cfg, rules, samples, seed=DEFAULT_SEED,
-                       correlated_interferers=True):
+def estimate_evm_rules(cfg, rules, samples, seed=DEFAULT_SEED):
     """Estimate the EVM from channel-power draws, under each rule given.
 
     Each chunk of channel powers is drawn once and shared by every rule,
@@ -313,7 +310,6 @@ def estimate_evm_rules(cfg, rules, samples, seed=DEFAULT_SEED,
         rules: SelectionRules to estimate; duplicates are merged.
         samples: number of fading blocks per rule, >= 2.
         seed: base seed; same (cfg, samples, seed) gives identical output.
-        correlated_interferers: see draw_channels.
 
     Returns:
         {rule: EvmEstimate}, in the order given. The standard error is the
@@ -325,7 +321,7 @@ def estimate_evm_rules(cfg, rules, samples, seed=DEFAULT_SEED,
         raise ConfigError(f"samples must be an integer >= 2, got {samples!r}")
 
     def draw(rng):
-        return draw_channels(cfg, rng, CHUNK, correlated_interferers)
+        return draw_channels(cfg, rng, CHUNK)
 
     def per_block(powers, rule):
         idx = select_antenna(powers.desired_power, powers.interference_power, rule)
@@ -353,26 +349,18 @@ def estimate_evm_rules(cfg, rules, samples, seed=DEFAULT_SEED,
     return estimates
 
 
-def estimate_evm(cfg, samples, seed=DEFAULT_SEED, correlated_interferers=True):
+def estimate_evm(cfg, samples, seed=DEFAULT_SEED):
     """estimate_evm_rules for cfg.rule alone; returns its EvmEstimate."""
     _check_config(cfg)
-    return estimate_evm_rules(cfg, (cfg.rule,), samples, seed,
-                              correlated_interferers)[cfg.rule]
+    return estimate_evm_rules(cfg, (cfg.rule,), samples, seed)[cfg.rule]
 
 
-def _draw_gains(cfg, rng, count, correlated_interferers):
+def _draw_gains(cfg, rng, count):
     # complex version of draw_channels for the waveform path
     antennas, interferers = cfg.antennas, cfg.interferers
     if cfg.rho > 0.0:
-        desired = _correlated_pair_gains(rng, count, cfg.rho)
-        if correlated_interferers:
-            gains = [_correlated_pair_gains(rng, count, cfg.rho)
-                     for _ in range(interferers)]
-            interferer = np.stack(gains, axis=2)
-        else:
-            interferer = (rng.standard_normal((count, 2, interferers))
-                          + 1j * rng.standard_normal((count, 2, interferers))) * _INV_SQRT2
-        return desired, interferer
+        gains = [_correlated_pair_gains(rng, count, cfg.rho) for _ in range(interferers + 1)]
+        return gains[0], np.stack(gains[1:], axis=2)
     if cfg.fading.is_rayleigh_equivalent:
         desired = (rng.standard_normal((count, antennas))
                    + 1j * rng.standard_normal((count, antennas))) * _INV_SQRT2
@@ -387,7 +375,7 @@ def _draw_gains(cfg, rng, count, correlated_interferers):
 
 
 def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qpsk",
-                                    seed=DEFAULT_SEED, correlated_interferers=True):
+                                    seed=DEFAULT_SEED):
     """Estimate the EVM by demodulating simulated waveforms, under each rule given.
 
     Per fading block: select an antenna from the drawn gains, transmit
@@ -405,7 +393,6 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
         blocks: independent fading blocks per rule, >= 2.
         constellation: "qpsk" or "16qam" (unit average energy each).
         seed: base seed, domain-separated from estimate_evm.
-        correlated_interferers: see draw_channels.
 
     Returns:
         {rule: EvmEstimate over blocks}, in the order given.
@@ -425,8 +412,7 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
     step = max(1, _SLICE // slots)
 
     def draw(rng):
-        desired_gain, interferer_gain = _draw_gains(
-            cfg, rng, per_chunk, correlated_interferers)
+        desired_gain, interferer_gain = _draw_gains(cfg, rng, per_chunk)
         data = points[rng.integers(0, points.size, (per_chunk, slots))]
         noise_symbols = points[rng.integers(
             0, points.size, (per_chunk, cfg.interferers, slots))]
@@ -466,9 +452,8 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
 
 
 def estimate_evm_symbol_level(cfg, slots, blocks, constellation="qpsk",
-                              seed=DEFAULT_SEED, correlated_interferers=True):
+                              seed=DEFAULT_SEED):
     """estimate_evm_symbol_level_rules for cfg.rule alone; returns its EvmEstimate."""
     _check_config(cfg)
     return estimate_evm_symbol_level_rules(
-        cfg, (cfg.rule,), slots, blocks, constellation, seed,
-        correlated_interferers)[cfg.rule]
+        cfg, (cfg.rule,), slots, blocks, constellation, seed)[cfg.rule]

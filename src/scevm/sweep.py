@@ -15,6 +15,7 @@ from .model import (
     ConfigError,
     DivergentMomentError,
     Fading,
+    NumericalError,
     SelectionRule,
     SystemConfig,
 )
@@ -35,7 +36,6 @@ class SweepSpec:
     axis: str
     values: tuple
     base: SystemConfig
-    engines: tuple = ("analytic", "mc")
     samples: int = 200000
     seed: int = DEFAULT_SEED
 
@@ -50,11 +50,6 @@ class SweepSpec:
         object.__setattr__(self, "values", values)
         if not isinstance(self.base, SystemConfig):
             raise ConfigError("base must be a SystemConfig")
-        engines = tuple(self.engines)
-        if not engines or any(e not in ("analytic", "mc") for e in engines):
-            raise ConfigError(
-                f"engines must be a non-empty subset of ('analytic', 'mc'), got {engines}")
-        object.__setattr__(self, "engines", engines)
         if not isinstance(self.samples, int) or self.samples < 2:
             raise ConfigError(f"samples must be an integer >= 2, got {self.samples!r}")
 
@@ -144,8 +139,9 @@ def run_sweep(spec):
     Points whose configuration is invalid come back as `unsupported` with
     the swept coordinate filled in; points whose EVM is provably infinite
     come back as `diverged` and skip the simulator.  Valid points with no
-    closed form stay `ok` with an empty analytic column, so the simulator
-    still covers them.
+    closed form, or whose closed form fails numerically (SeriesRangeError,
+    a quadrature that cannot reach its tolerance), stay `ok` with empty
+    analytic and z columns, so the simulator still covers them.
     """
     rows = []
     for value in spec.values:
@@ -166,8 +162,10 @@ def run_sweep(spec):
             exact = analytic_formula(cfg)
         except DivergentMomentError:
             status = STATUS_DIVERGED
+        except NumericalError:
+            pass
         mc_mean = mc_stderr = z_score = None
-        if "mc" in spec.engines and status != STATUS_DIVERGED:
+        if status != STATUS_DIVERGED:
             estimate = estimate_evm(cfg, spec.samples, seed=cell_seed(spec.seed, cfg))
             mc_mean, mc_stderr = estimate.mean, estimate.std_error
             if exact is not None and mc_stderr > 0.0:
@@ -175,7 +173,7 @@ def run_sweep(spec):
         rows.append(SweepRow(
             antennas=cfg.antennas, interferers=cfg.interferers,
             rule=cfg.rule.value, shape=cfg.fading.m, rho=cfg.rho,
-            analytic=exact if "analytic" in spec.engines else None,
+            analytic=exact,
             mc_mean=mc_mean, mc_stderr=mc_stderr, z_score=z_score,
             status=status))
     return rows
@@ -244,9 +242,8 @@ def emit_plot_script(specs, csv_name="sweep.csv"):
         span = f"every ::{first_row}::{last_row}"
         clauses.append(f"  '{csv_name}' {span} using {column}:6 "
                        f"with lines title '{label}'")
-        if "mc" in spec.engines:
-            clauses.append(f"  '{csv_name}' {span} using {column}:7:8 "
-                           f"with yerrorbars notitle")
+        clauses.append(f"  '{csv_name}' {span} using {column}:7:8 "
+                       f"with yerrorbars notitle")
         first_row = last_row + 1
     lines.append(", \\\n".join(clauses))
     return "\n".join(lines) + "\n"

@@ -294,14 +294,12 @@ def symbol_level_checks(slots, blocks, seed=DEFAULT_SEED):
     return checks
 
 
-def run_verification(samples=1000000, seed=DEFAULT_SEED,
-                     include_symbol_level=True, slots=2000, blocks=2000):
+def run_verification(samples=1000000, seed=DEFAULT_SEED, slots=2000, blocks=2000):
     """Run every verification layer and collect the verdict.
 
     Args:
         samples: Monte Carlo draws per grid point.
         seed: base seed; identical arguments give identical reports.
-        include_symbol_level: also run the waveform-level estimator.
         slots: symbols per fading block for the waveform check.
         blocks: fading blocks for the waveform check.
 
@@ -318,7 +316,6 @@ def run_verification(samples=1000000, seed=DEFAULT_SEED,
     checks.extend(asymptotic_checks())
     grid_checks, rows = mc_grid(samples, seed=seed)
     checks.extend(grid_checks)
-    if include_symbol_level:
-        checks.extend(symbol_level_checks(slots, blocks, seed=seed))
+    checks.extend(symbol_level_checks(slots, blocks, seed=seed))
     return VerificationReport(checks=tuple(checks), rows=tuple(rows),
                               passed=all(c.passed for c in checks))

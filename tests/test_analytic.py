@@ -302,6 +302,10 @@ def test_series_range_guard():
     lambda: analytic.evm_max_sir_correlated(1.0),
     lambda: analytic.evm_max_signal_correlated(1.0, 2),
     lambda: analytic.evm_fully_correlated(0),
+    lambda: analytic.evm_max_sir_rayleigh(True, True),
+    lambda: analytic.evm_max_signal_rayleigh(2, True),
+    lambda: analytic.evm_fully_correlated(True),
+    lambda: analytic.evm_from_sir_cdf("not a config"),
 ])
 def test_domain_validation(call):
     with pytest.raises(UnsupportedDomainError):

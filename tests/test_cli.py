@@ -139,6 +139,15 @@ def test_config_file_must_be_an_object(tmp_path, capsys):
     assert main(["eval", "--config", str(path)]) == 1
 
 
+def test_config_file_rejects_boolean_counts(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"L": True}))
+    assert main(["eval", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "L=True" not in captured.out
+    assert "antennas" in captured.err
+
+
 def test_sweep_writes_csv_and_plot(tmp_path, capsys):
     out = tmp_path / "fig3.csv"
     code = main(["sweep", "--preset", "fig3", "--samples", "2000",

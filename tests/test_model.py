@@ -63,6 +63,9 @@ def test_system_config_defaults_and_rule_coercion():
     {"antennas": 2, "interferers": 1, "rule": "max_sir",
      "fading": Fading.nakagami(2.0), "rho": 0.5},
     {"antennas": 2, "interferers": 1, "rule": "max_sir", "fading": "rayleigh"},
+    # bool is an int subclass, but not a count
+    {"antennas": True, "interferers": 1, "rule": "max_sir"},
+    {"antennas": 2, "interferers": True, "rule": "max_sir"},
 ])
 def test_system_config_rejects(kwargs):
     with pytest.raises((ConfigError, ValueError)):

@@ -4,13 +4,13 @@ import math
 
 import pytest
 
+from scevm import quadrature
 from scevm.analytic import sir_cdf_single_antenna
 from scevm.model import Fading, NumericalError
 from scevm.quadrature import (
     AccuracyNotReachedError,
     QuadratureResult,
     integrate_semi_infinite,
-    integrate_weighted_sqrt,
 )
 
 _KNOWN_INTEGRALS = [
@@ -39,10 +39,12 @@ def test_result_reports_effort():
     assert spiky.value == pytest.approx(2.0 / 40.0, rel=1e-8)
 
 
-def test_unreachable_tolerance_raises_with_best():
+def test_unreachable_tolerance_raises_with_best(monkeypatch):
+    monkeypatch.setattr(quadrature, "ABS_TOL", 0.0)
+    monkeypatch.setattr(quadrature, "REL_TOL", 0.0)
+    monkeypatch.setattr(quadrature, "MAX_EVALUATIONS", 600)
     with pytest.raises(AccuracyNotReachedError) as info:
-        integrate_semi_infinite(lambda x: math.exp(-x), abs_tol=0.0, rel_tol=0.0,
-                                max_evaluations=600)
+        integrate_semi_infinite(lambda x: math.exp(-x))
     best = info.value.best
     assert isinstance(best, QuadratureResult)
     assert best.value == pytest.approx(1.0, rel=1e-6)
@@ -55,8 +57,8 @@ def test_non_finite_integrand_is_rejected():
 
 
 def test_weighted_sqrt_modes():
-    # int_0^inf x^-1/2 e^-x dx = Gamma(1/2)
-    divide = integrate_weighted_sqrt(lambda x: math.exp(-x))
+    # int_0^inf x^-1/2 e^-x dx = Gamma(1/2), taken over x = t^2
+    divide = integrate_semi_infinite(lambda t: 2.0 * math.exp(-t * t))
     assert divide.value == pytest.approx(math.sqrt(math.pi), rel=1e-9)
 
 
@@ -94,7 +96,8 @@ def test_substitution_invariance(antennas, interferers):
             return 0.5
         return 0.5 * _selected_cdf(1.0 / u, antennas, interferers)
 
-    via_tail = integrate_weighted_sqrt(tail_weighted).value
-    via_head = integrate_weighted_sqrt(head_weighted).value
+    # each integrand carries u^-1/2, removed by u = t^2
+    via_tail = integrate_semi_infinite(lambda t: 2.0 * tail_weighted(t * t)).value
+    via_head = integrate_semi_infinite(lambda t: 2.0 * head_weighted(t * t)).value
     assert via_tail == pytest.approx(reference, abs=1e-8)
     assert via_head == pytest.approx(reference, abs=1e-8)

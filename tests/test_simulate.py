@@ -115,15 +115,6 @@ def test_correlated_pair_power_correlation():
     assert correlation == pytest.approx(rho * rho, abs=0.02)
 
 
-def test_correlated_interferers_can_be_disabled():
-    cfg = SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.6)
-    draw = draw_channels(cfg, _chunk_rng(17, 0), 200000,
-                         correlated_interferers=False)
-    interference = draw.interference_power
-    correlation = float(np.corrcoef(interference[:, 0], interference[:, 1])[0, 1])
-    assert abs(correlation) < 0.02
-
-
 def test_select_antenna_rules_and_ties():
     desired = np.array([[3.0, 1.0], [2.0, 2.0], [0.0, 5.0], [1.0, 4.0]])
     interference = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 1.0], [0.25, 4.0]])
@@ -176,15 +167,24 @@ def test_vanishing_correlation_matches_independent_law():
 
 
 def test_interferer_correlation_is_part_of_the_model():
-    # with the interferer pair decorrelated the correlated-SIR closed form
-    # must stop matching; this pins the calibrated model interpretation
+    # the simulator couples the interferer pair with the desired pair's rho
+    # and matches the correlated-SIR closed form; a pair whose interferers
+    # are drawn independently must stop matching, which pins the calibrated
+    # model interpretation
     rho = 0.9
     cfg = SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=rho)
     exact = analytic.evm_max_sir_correlated(rho)
     coupled = estimate_evm(cfg, 500000, seed=31)
-    decoupled = estimate_evm(cfg, 500000, seed=31, correlated_interferers=False)
     assert abs((coupled.mean - exact) / coupled.std_error) < 4.0
-    assert (decoupled.mean - exact) / decoupled.std_error < -5.0
+    count = 500000
+    rng = _chunk_rng(31, 0)
+    desired = np.square(np.abs(simulate._correlated_pair_gains(rng, count, rho)))
+    interference = rng.standard_exponential((count, 2))
+    idx = select_antenna(desired, interference, SelectionRule.MAX_SIR)
+    rows = np.arange(count)
+    decoupled = np.sqrt(interference[rows, idx] / desired[rows, idx])
+    std_error = float(decoupled.std(ddof=1)) / math.sqrt(count)
+    assert (float(decoupled.mean()) - exact) / std_error < -5.0
 
 
 def test_zero_power_draws_are_rejected_and_counted():
@@ -231,6 +231,17 @@ def test_symbol_level_multiple_interferers():
     assert abs(z) < 4.0
 
 
+def test_symbol_level_correlated_antennas():
+    # the waveform path draws the coupled pairs the correlated closed forms assume
+    for cfg, exact in ((SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.6),
+                        analytic.evm_max_sir_correlated(0.6)),
+                       (SystemConfig(2, 2, SelectionRule.MAX_SIGNAL, rho=0.6),
+                        analytic.evm_max_signal_correlated(0.6, 2))):
+        estimate = estimate_evm_symbol_level(cfg, slots=500, blocks=4000, seed=61)
+        z = (estimate.mean - exact) / estimate.std_error
+        assert abs(z) < 4.0, (cfg, z)
+
+
 def test_symbol_level_is_constellation_independent():
     # the per-block EVM depends only on the gain ratio, not on which
     # unit-energy symbols were sent
@@ -257,8 +268,8 @@ def test_symbol_level_without_interference_vanishes(monkeypatch):
 
     original = module._draw_gains
 
-    def silenced(cfg, rng, count, correlated_interferers):
-        desired, interferer = original(cfg, rng, count, correlated_interferers)
+    def silenced(cfg, rng, count):
+        desired, interferer = original(cfg, rng, count)
         return desired, np.zeros_like(interferer)
 
     monkeypatch.setattr(module, "_draw_gains", silenced)
@@ -286,38 +297,37 @@ def test_constellations_have_unit_energy():
 
 BOTH_RULES = (SelectionRule.MAX_SIR, SelectionRule.MAX_SIGNAL)
 
-# (cfg, correlated_interferers); shape 0.01 makes selected gains underflow
-# now and then, so the power estimates at seed 4 reject a draw
+# shape 0.01 makes selected gains underflow now and then, so the power
+# estimates at seed 4 reject a draw. The ids are those the cases had when
+# each also named an interferer model (True: pairs coupled like the desired
+# pair, the one model drawn today), so results compare across versions.
 SHARED_DRAW_CASES = [
-    (SystemConfig(4, 4, SelectionRule.MAX_SIR), True),
-    (SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.6), True),
-    (SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.6), False),
-    (SystemConfig(2, 1, SelectionRule.MAX_SIR, Fading.nakagami(0.01)), True),
+    pytest.param(SystemConfig(4, 4, SelectionRule.MAX_SIR), id="cfg0-True"),
+    pytest.param(SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.6), id="cfg1-True"),
+    pytest.param(SystemConfig(2, 1, SelectionRule.MAX_SIR, Fading.nakagami(0.01)),
+                 id="cfg3-True"),
 ]
 
 
-@pytest.mark.parametrize("cfg, correlated", SHARED_DRAW_CASES)
-def test_shared_draws_equal_single_rule_estimates(cfg, correlated):
+@pytest.mark.parametrize("cfg", SHARED_DRAW_CASES)
+def test_shared_draws_equal_single_rule_estimates(cfg):
     samples = CHUNK + 1000
-    shared = estimate_evm_rules(cfg, BOTH_RULES, samples, seed=4,
-                                correlated_interferers=correlated)
+    shared = estimate_evm_rules(cfg, BOTH_RULES, samples, seed=4)
     assert tuple(shared) == BOTH_RULES
     for rule in BOTH_RULES:
-        single = estimate_evm(replace(cfg, rule=rule), samples, seed=4,
-                              correlated_interferers=correlated)
+        single = estimate_evm(replace(cfg, rule=rule), samples, seed=4)
         assert shared[rule] == single, rule
     if cfg.fading.m == 0.01:
         assert all(e.rejected > 0 for e in shared.values())
 
 
-@pytest.mark.parametrize("cfg, correlated", SHARED_DRAW_CASES)
-def test_symbol_level_shared_draws_equal_single_rule_estimates(cfg, correlated):
+@pytest.mark.parametrize("cfg", SHARED_DRAW_CASES)
+def test_symbol_level_shared_draws_equal_single_rule_estimates(cfg):
     # 2000 slots make 524-block chunks, so 1100 blocks span three chunks
-    shared = estimate_evm_symbol_level_rules(cfg, BOTH_RULES, 2000, 1100, seed=67,
-                                             correlated_interferers=correlated)
+    shared = estimate_evm_symbol_level_rules(cfg, BOTH_RULES, 2000, 1100, seed=67)
     for rule in BOTH_RULES:
         single = estimate_evm_symbol_level(replace(cfg, rule=rule), 2000, 1100,
-                                           seed=67, correlated_interferers=correlated)
+                                           seed=67)
         assert shared[rule] == single, rule
 
 
@@ -389,7 +399,7 @@ def test_verification_equals_per_rule_reference(monkeypatch):
                                                 seed=seed)
                 for rule in rules}
 
-    args = dict(samples=200000, seed=7, include_symbol_level=True, slots=200, blocks=400)
+    args = dict(samples=200000, seed=7, slots=200, blocks=400)
     shared = text(verify.run_verification(**args))
     monkeypatch.setattr(verify, "estimate_evm_rules", per_rule)
     monkeypatch.setattr(verify, "estimate_evm_symbol_level_rules", per_rule_symbol)
@@ -397,22 +407,20 @@ def test_verification_equals_per_rule_reference(monkeypatch):
 
 
 # sliced draws: the row slices of _interference_power give the values of one
-# fill; the count is no multiple of any case's slice
+# fill; the count is no multiple of any case's slice. Ids as for
+# SHARED_DRAW_CASES.
 SLICED_COUNT = 50021
 SLICED_DRAW_CASES = [
-    (SystemConfig(4, 4, SelectionRule.MAX_SIR), True),
-    (SystemConfig(6, 2, SelectionRule.MAX_SIR, Fading.nakagami(0.5)), True),
-    (SystemConfig(2, 3, SelectionRule.MAX_SIR, rho=0.6), False),
+    pytest.param(SystemConfig(4, 4, SelectionRule.MAX_SIR), id="cfg0-True"),
+    pytest.param(SystemConfig(6, 2, SelectionRule.MAX_SIR, Fading.nakagami(0.5)),
+                 id="cfg1-True"),
 ]
 
 
 def _one_shot_draw(cfg, rng, count):
     # the whole (count, antennas, interferers) block in one fill, summed in
     # interferer order
-    if cfg.rho > 0.0:
-        pairs = simulate._correlated_pair_gains(rng, count, cfg.rho)
-        desired = np.square(np.abs(pairs))
-    elif cfg.fading.is_rayleigh_equivalent:
+    if cfg.fading.is_rayleigh_equivalent:
         desired = rng.standard_exponential((count, cfg.antennas))
     else:
         desired = rng.gamma(cfg.fading.m, 1.0 / cfg.fading.m, (count, cfg.antennas))
@@ -423,12 +431,11 @@ def _one_shot_draw(cfg, rng, count):
     return desired, interference
 
 
-@pytest.mark.parametrize("cfg, correlated", SLICED_DRAW_CASES)
-def test_sliced_draw_equals_one_shot_fill(cfg, correlated):
+@pytest.mark.parametrize("cfg", SLICED_DRAW_CASES)
+def test_sliced_draw_equals_one_shot_fill(cfg):
     rows_per_slice = simulate._SLICE // (cfg.antennas * cfg.interferers)
     assert SLICED_COUNT > rows_per_slice and SLICED_COUNT % rows_per_slice
-    draw = draw_channels(cfg, _chunk_rng(83, 2), SLICED_COUNT,
-                         correlated_interferers=correlated)
+    draw = draw_channels(cfg, _chunk_rng(83, 2), SLICED_COUNT)
     desired, interference = _one_shot_draw(cfg, _chunk_rng(83, 2), SLICED_COUNT)
     assert np.array_equal(draw.desired_power, desired)
     assert np.array_equal(draw.interference_power, interference)
@@ -473,11 +480,11 @@ def test_failed_draw_surfaces_and_next_estimate_works(monkeypatch, failing_chunk
     original = simulate.draw_channels
     failed_on = []
 
-    def failing(cfg, rng, count, correlated_interferers=True):
+    def failing(cfg, rng, count):
         if rng.bit_generator.state["state"]["key"][1] == failing_chunk:
             failed_on.append(threading.current_thread())
             raise RuntimeError(f"draw failed in chunk {failing_chunk}")
-        return original(cfg, rng, count, correlated_interferers)
+        return original(cfg, rng, count)
 
     monkeypatch.setattr(simulate, "draw_channels", failing)
     with pytest.raises(RuntimeError, match=f"chunk {failing_chunk}"):
@@ -495,18 +502,14 @@ def test_estimates_are_frozen():
                           "std_error=0.0005452347356034602, samples=1000000, rejected=0)")
     rho = SystemConfig(2, 3, SelectionRule.MAX_SIR, rho=0.6)
     frozen = {
-        (True, SelectionRule.MAX_SIR): (1.7658435689747263, 0.0021069573883341487),
-        (True, SelectionRule.MAX_SIGNAL): (1.8358498960607785, 0.0021991707167830113),
-        (False, SelectionRule.MAX_SIR): (1.7338921022467804, 0.002057477805933118),
-        (False, SelectionRule.MAX_SIGNAL): (1.8376001399853434, 0.002216805345659609),
+        SelectionRule.MAX_SIR: (1.7658435689747263, 0.0021069573883341487),
+        SelectionRule.MAX_SIGNAL: (1.8358498960607785, 0.0021991707167830113),
     }
-    for correlated in (True, False):
-        estimates = estimate_evm_rules(rho, BOTH_RULES, 300000, seed=5,
-                                       correlated_interferers=correlated)
-        for rule in BOTH_RULES:
-            mean, std_error = frozen[correlated, rule]
-            assert repr(estimates[rule]) == (f"EvmEstimate(mean={mean!r}, std_error="
-                                             f"{std_error!r}, samples=300000, rejected=0)")
+    estimates = estimate_evm_rules(rho, BOTH_RULES, 300000, seed=5)
+    for rule in BOTH_RULES:
+        mean, std_error = frozen[rule]
+        assert repr(estimates[rule]) == (f"EvmEstimate(mean={mean!r}, std_error="
+                                         f"{std_error!r}, samples=300000, rejected=0)")
     symbol = estimate_evm_symbol_level_rules(SystemConfig(2, 2, SelectionRule.MAX_SIR),
                                              BOTH_RULES, 2000, 600, seed=3)
     assert repr(symbol[SelectionRule.MAX_SIR]) == (

@@ -2,6 +2,7 @@
 with Monte Carlo machinery to verify every formula from first principles."""
 
 from .analytic import (
+    analytic_formula,
     evm_fully_correlated,
     evm_from_sir_cdf,
     evm_max_signal_correlated,
@@ -10,6 +11,7 @@ from .analytic import (
     evm_max_sir_correlated,
     evm_max_sir_nakagami,
     evm_max_sir_rayleigh,
+    formula_name,
     sir_cdf_best_antenna,
     sir_cdf_single_antenna,
 )
@@ -31,8 +33,7 @@ from .simulate import (
     estimate_evm_symbol_level,
     estimate_evm_symbol_level_rules,
 )
-from .sweep import (SweepRow, SweepSpec, analytic_formula, emit_csv,
-                    formula_name, preset, run_sweep)
+from .sweep import SweepRow, SweepSpec, emit_csv, preset, run_sweep
 from .verify import run_verification
 
 __version__ = "0.1.0"

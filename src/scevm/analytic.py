@@ -11,10 +11,12 @@ where F_SIR' is the CDF of the selected SIR. evm_from_sir_cdf evaluates
 that integral for either rule and every Nakagami L and M; the other public
 functions are closed forms and named special cases, one combination of
 selection rule, desired-channel fading law, and antenna correlation each.
-Interferer channels are Rayleigh in every case.
+Interferer channels are Rayleigh in every case. formula_name and
+analytic_formula, at the end, decide which function covers a configuration.
 """
 
 import math
+import sys
 
 from .model import (
     DivergentMomentError,
@@ -30,6 +32,7 @@ from .quadrature import integrate_semi_infinite
 from .specfun import gamma_ratio, gauss_2f1, log_gamma, marcum_q1, regularized_gamma_p
 
 _SQRT_PI = math.sqrt(math.pi)
+_LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 
 # beyond this the alternating antenna sum cannot be trusted in doubles
 _MAX_ANTENNA_INTERFERER_PRODUCT = 150
@@ -57,18 +60,23 @@ def sir_cdf_single_antenna(x, interferers, fading):
         P(SIR <= x) in [0, 1].
     """
     _validate_count("interferers", interferers)
+    if not isinstance(fading, Fading):
+        raise UnsupportedDomainError(f"fading must be a Fading, got {fading!r}")
     if not (x >= 0.0):
         raise UnsupportedDomainError(f"x must be nonnegative, got {x}")
     if math.isinf(x):
         return 1.0
     m = fading.m
     mx = m * x
+    if mx == 0.0:
+        return 0.0
     term = total = 1.0
     for k in range(1, interferers):
         # (m)_k / k! (1 - z)^k from its predecessor, with 1 - z = 1 / (1 + m x)
         term *= (m + k - 1.0) / (k * (1.0 + mx))
         total += term
-    return min(1.0, (mx / (1.0 + mx)) ** m * total)
+    # z^m = (1 + 1 / (m x))^-m, without forming z, whose rounding m amplifies
+    return min(1.0, math.exp(-m * math.log1p(1.0 / mx)) * total)
 
 
 def sir_cdf_best_antenna(x, cfg):
@@ -248,8 +256,9 @@ def evm_max_signal_nakagami(m, interferers):
 
     The closed form is cross-checked on every call against evm_from_sir_cdf;
     disagreement beyond 1e-7 raises, since it would mean one of the two
-    routes is broken. For 1/4 < m <= 1/2 the closed form does not exist
-    and the integral is returned.
+    routes is broken. The integral is returned for 1/4 < m <= 1/2, where
+    the closed form does not exist, and from m ~ 515 on, where its gamma
+    ratio overflows.
 
     Args:
         m: Nakagami shape of the desired channel, > 0.
@@ -268,9 +277,11 @@ def evm_max_signal_nakagami(m, interferers):
                                              Fading.nakagami(m)))
     if m <= 0.5:
         return integral
+    log_ratio = log_gamma(2.0 * m - 0.5) - log_gamma(m) - log_gamma(m + 0.5)
+    if not log_ratio < _LOG_MAX_DOUBLE:  # overflows from m ~ 515, NaN once 2m overflows
+        return integral
     hyp = gauss_2f1(m - 0.5, 2.0 * m - 0.5, m + 0.5, -1.0)
-    correction = hyp * math.exp(
-        log_gamma(2.0 * m - 0.5) - log_gamma(m) - log_gamma(m + 0.5))
+    correction = hyp * math.exp(log_ratio)
     desired_moment = (2.0 * math.exp(log_gamma(m - 0.5) - log_gamma(m))
                       * math.sqrt(m) * (1.0 - correction))
     evm = desired_moment * gamma_ratio(interferers + 0.5, interferers)
@@ -348,3 +359,41 @@ def evm_fully_correlated(interferers):
     """
     _validate_count("interferers", interferers)
     return _SQRT_PI * gamma_ratio(interferers + 0.5, interferers)
+
+
+def _route(cfg):
+    # which function covers cfg, tried in order; the evaluators look the
+    # functions up when called, so patched module attributes are honoured
+    if not isinstance(cfg, SystemConfig):
+        raise UnsupportedDomainError("cfg must be a SystemConfig")
+    antennas, interferers, rho, m = cfg.antennas, cfg.interferers, cfg.rho, cfg.fading.m
+    if rho == 1.0:
+        return "evm_fully_correlated", lambda: evm_fully_correlated(interferers)
+    if rho > 0.0:
+        if cfg.rule is SelectionRule.MAX_SIGNAL:
+            return "evm_max_signal_correlated", lambda: evm_max_signal_correlated(rho, interferers)
+        if interferers >= 2:
+            return None
+    elif cfg.fading.is_rayleigh_equivalent:
+        if cfg.rule is SelectionRule.MAX_SIR:
+            return "evm_max_sir_rayleigh", lambda: evm_max_sir_rayleigh(antennas, interferers)
+        return "evm_max_signal_rayleigh", lambda: evm_max_signal_rayleigh(antennas, interferers)
+    elif cfg.rule is SelectionRule.MAX_SIGNAL and antennas == 2:
+        return "evm_max_signal_nakagami", lambda: evm_max_signal_nakagami(m, interferers)
+    return "evm_from_sir_cdf", lambda: evm_from_sir_cdf(cfg)
+
+
+def formula_name(cfg):
+    """Name of the analytic route covering cfg, or None when none does."""
+    route = _route(cfg)
+    return None if route is None else route[0]
+
+
+def analytic_formula(cfg):
+    """Analytic EVM for cfg, or None when no route covers it.
+
+    Raises:
+        DivergentMomentError: a formula covers cfg but the EVM is infinite.
+    """
+    route = _route(cfg)
+    return None if route is None else route[1]()

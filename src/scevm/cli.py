@@ -15,10 +15,10 @@ import json
 import sys
 from pathlib import Path
 
+from .analytic import analytic_formula, formula_name
 from .model import ConfigError, Fading, NumericalError, SelectionRule, SystemConfig
 from .simulate import DEFAULT_SEED, estimate_evm
-from .sweep import (analytic_formula, emit_csv, emit_plot_script, formula_name,
-                    preset, run_sweep)
+from .sweep import emit_csv, emit_plot_script, preset, run_sweep
 from .verify import run_verification
 
 _EVAL_DEFAULTS = {

@@ -8,6 +8,7 @@ maximum desired signal power. The desired channel is Rayleigh or
 Nakagami-m faded; antenna pairs may be correlated with coefficient rho.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,8 +59,8 @@ class Fading:
     def __post_init__(self):
         if self.kind not in ("rayleigh", "nakagami"):
             raise ConfigError(f"unknown fading kind {self.kind!r}")
-        if not (self.m > 0.0):
-            raise ConfigError(f"fading shape m must be positive, got {self.m}")
+        if not (0.0 < self.m < math.inf):
+            raise ConfigError(f"fading shape m must be positive and finite, got {self.m}")
         if self.kind == "rayleigh" and self.m != 1.0:
             raise ConfigError("rayleigh fading fixes the shape parameter at m = 1")
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, NumericalError, SelectionRule, SystemConfig
+from .model import ConfigError, NumericalError, SelectionRule, SystemConfig, is_count
 
 DEFAULT_SEED = 12345
 
@@ -398,7 +398,7 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
         {rule: EvmEstimate over blocks}, in the order given.
     """
     rules = _check_rules(cfg, rules)
-    if not isinstance(slots, int) or slots < 1:
+    if not is_count(slots):
         raise ConfigError(f"slots must be an integer >= 1, got {slots!r}")
     if not isinstance(blocks, int) or blocks < 2:
         raise ConfigError(f"blocks must be an integer >= 2, got {blocks!r}")

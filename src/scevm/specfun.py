@@ -182,8 +182,10 @@ def gauss_2f1(a, b, c, z):
 
     Supported arguments: 0 <= z <= 0.5 directly by the power series, and
     -1 <= z < 0 through the Pfaff transformation z -> z / (z - 1), which
-    maps the needed z = -1 onto the well-conditioned point 1/2. Arguments
-    requiring analytic continuation are rejected.
+    maps the needed z = -1 onto the point 1/2. Pfaff's series has numerator
+    parameters a and c - b; when c - b < 0 <= c - a its terms alternate and
+    cancel, so a and b (2F1 is symmetric in them) are swapped first.
+    Arguments requiring analytic continuation are rejected.
 
     Args:
         a, b: numerator parameters.
@@ -204,6 +206,8 @@ def gauss_2f1(a, b, c, z):
         if z < -1.0:
             raise UnsupportedDomainError(
                 f"z = {z} maps outside the supported series domain (need z >= -1)")
+        if c - b < 0.0 <= c - a:
+            a, b = b, a
         w = z / (z - 1.0)
         return (1.0 - z) ** (-a) * _hypergeometric_series(a, c - b, c, w)
     if z > 0.5:

@@ -10,7 +10,7 @@ a z score. Rows serialize to CSV and to a gnuplot script for quick looks.
 import dataclasses
 from dataclasses import dataclass
 
-from . import analytic
+from .analytic import analytic_formula
 from .model import (
     ConfigError,
     DivergentMomentError,
@@ -79,48 +79,6 @@ def cell_seed(seed, cfg):
     """
     return derive_seed(seed, cfg.antennas, cfg.interferers,
                        cfg.fading.kind, cfg.fading.m, cfg.rho)
-
-
-def _dispatch(cfg):
-    if not isinstance(cfg, SystemConfig):
-        raise ConfigError("cfg must be a SystemConfig")
-    if cfg.rho == 1.0:
-        return "evm_fully_correlated", (cfg.interferers,)
-    if cfg.rho > 0.0:
-        if cfg.rule is SelectionRule.MAX_SIR:
-            if cfg.interferers != 1:
-                return None
-            return "evm_max_sir_correlated", (cfg.rho,)
-        return "evm_max_signal_correlated", (cfg.rho, cfg.interferers)
-    if cfg.fading.is_rayleigh_equivalent:
-        if cfg.rule is SelectionRule.MAX_SIR:
-            return "evm_max_sir_rayleigh", (cfg.antennas, cfg.interferers)
-        return "evm_max_signal_rayleigh", (cfg.antennas, cfg.interferers)
-    if cfg.rule is SelectionRule.MAX_SIR and cfg.interferers == 2:
-        return "evm_max_sir_nakagami", (cfg.antennas, cfg.fading.m)
-    if cfg.rule is SelectionRule.MAX_SIGNAL and cfg.antennas == 2:
-        return "evm_max_signal_nakagami", (cfg.fading.m, cfg.interferers)
-    return "evm_from_sir_cdf", (cfg,)
-
-
-def formula_name(cfg):
-    """Name of the analytic route covering cfg, or None when none does."""
-    found = _dispatch(cfg)
-    return None if found is None else found[0]
-
-
-def analytic_formula(cfg):
-    """Analytic EVM for cfg, or None when no route covers it.
-
-    Raises:
-        DivergentMomentError: a formula covers cfg but the EVM is infinite.
-    """
-    found = _dispatch(cfg)
-    if found is None:
-        return None
-    name, args = found
-    # resolved per call so test hooks on the analytic module are honoured
-    return getattr(analytic, name)(*args)
 
 
 def _apply_axis(base, axis, value):

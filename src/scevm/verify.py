@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import analytic
+from .analytic import analytic_formula
 from .model import Fading, SelectionRule, SystemConfig
 from .simulate import (
     DEFAULT_SEED,
@@ -29,7 +30,7 @@ from .simulate import (
     estimate_evm_rules,
     estimate_evm_symbol_level_rules,
 )
-from .sweep import SweepRow, analytic_formula, cell_seed
+from .sweep import SweepRow, cell_seed
 
 _ANCHOR_TOL = 1e-10
 _Z_LIMIT = 3.0

@@ -20,7 +20,6 @@ from scevm.model import (
     SystemConfig,
     UnsupportedDomainError,
 )
-from scevm.sweep import analytic_formula
 
 MAX_SIR_RAYLEIGH = {
     (1, 1): 1.570796326794896619231,
@@ -257,10 +256,10 @@ def _quad_oracle(rule, antennas, interferers, m):
 ])
 def test_defining_integral_heavy_tail_against_scipy(rule, antennas, interferers, m):
     # 1 < 2 L m < 2, so the integrand decays like x^(-2 L m), slower than
-    # x^-2; the routes are evm_max_sir_nakagami (M = 2) and
+    # x^-2; the routes are evm_from_sir_cdf (max-SIR) and
     # evm_max_signal_nakagami (L = 2), here where its closed form does not exist
     cfg = SystemConfig(antennas, interferers, rule, Fading.nakagami(m))
-    assert analytic_formula(cfg) == pytest.approx(
+    assert analytic.analytic_formula(cfg) == pytest.approx(
         _quad_oracle(rule, antennas, interferers, m), rel=1e-9)
 
 
@@ -306,6 +305,8 @@ def test_series_range_guard():
     lambda: analytic.evm_max_signal_rayleigh(2, True),
     lambda: analytic.evm_fully_correlated(True),
     lambda: analytic.evm_from_sir_cdf("not a config"),
+    lambda: analytic.sir_cdf_single_antenna(0.5, 2, "rayleigh"),
+    lambda: analytic.analytic_formula("not a config"),
 ])
 def test_domain_validation(call):
     with pytest.raises(UnsupportedDomainError):
@@ -420,6 +421,22 @@ def test_signal_rule_closed_form_is_cross_checked(monkeypatch):
     monkeypatch.setattr(module, "gauss_2f1", broken)
     with pytest.raises(NumericalError):
         module.evm_max_signal_nakagami(2.0, 1)
+
+
+@pytest.mark.parametrize("m", [25.0, 40.0, 200.0, 1000.0, 1e300])
+def test_signal_rule_closed_form_at_large_shape(m):
+    # the closed form where its gamma ratio fits a double, the integral beyond
+    cfg = SystemConfig(2, 2, SelectionRule.MAX_SIGNAL, Fading.nakagami(m))
+    assert analytic.evm_max_signal_nakagami(m, 2) == pytest.approx(
+        analytic.evm_from_sir_cdf(cfg), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1e9, 1e50, 1e300])
+def test_max_sir_at_huge_shape_reaches_the_deterministic_limit(m):
+    # as m grows the desired power tends to 1; the m -> inf limit of L = 3,
+    # M = 2 max-SIR, by mpmath, is 0.9309430468124
+    cfg = SystemConfig(3, 2, SelectionRule.MAX_SIR, Fading.nakagami(m))
+    assert analytic.analytic_formula(cfg) == pytest.approx(0.9309430468124, abs=1e-9)
 
 
 def test_rule_ordering_analytic():

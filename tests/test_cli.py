@@ -48,7 +48,7 @@ def test_eval_every_flag(capsys):
     from scevm import analytic
     assert value == pytest.approx(analytic.evm_max_sir_nakagami(2, 2.0), rel=1e-9)
     assert "fading=nakagami m=2" in out
-    assert "[evm_max_sir_nakagami]" in out
+    assert "[evm_from_sir_cdf]" in out
 
 
 def test_eval_correlated(capsys):

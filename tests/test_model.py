@@ -1,6 +1,7 @@
 """Configuration type validation and the error hierarchy."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -38,6 +39,7 @@ def test_fading_constructors():
     {"kind": "rician"},
     {"kind": "nakagami", "m": 0.0},
     {"kind": "nakagami", "m": -1.0},
+    {"kind": "nakagami", "m": math.inf},
     {"kind": "rayleigh", "m": 2.0},
 ])
 def test_fading_rejects(kwargs):

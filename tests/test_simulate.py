@@ -283,6 +283,8 @@ def test_symbol_level_validates_arguments():
     with pytest.raises(ConfigError):
         estimate_evm_symbol_level(cfg, slots=0, blocks=100)
     with pytest.raises(ConfigError):
+        estimate_evm_symbol_level(cfg, slots=True, blocks=100)
+    with pytest.raises(ConfigError):
         estimate_evm_symbol_level(cfg, slots=10, blocks=1)
     with pytest.raises(ConfigError):
         estimate_evm_symbol_level(cfg, slots=10, blocks=100, constellation="8psk")
@@ -534,7 +536,7 @@ def test_import_and_one_chunk_estimate_start_no_thread():
     loaded, threads_after_one_chunk, threads_after_two, threads_after_more = _fresh_python(
         "import sys, threading\n"
         "import scevm\n"
-        "print(int(any(m in sys.modules for m in ('concurrent.futures', 'logging'))))\n"
+        "print(int(any(m in sys.modules for m in ('concurrent.futures', 'logging', 'scipy'))))\n"
         "cfg = scevm.SystemConfig(2, 1, scevm.SelectionRule.MAX_SIR)\n"
         "scevm.estimate_evm(cfg, 2)\n"
         "print(threading.active_count())\n"

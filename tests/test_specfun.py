@@ -206,6 +206,16 @@ def test_gauss_2f1_halved_moment_family():
         assert got == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("m", [20.0, 25.0, 40.0, 80.0])
+def test_gauss_2f1_halved_moment_family_at_large_shape(m):
+    # Pfaff's series for these arguments alternates unless a and b swap;
+    # it was 6.5e-7 off at m = 25 and 3.9e-2 off at m = 40; the values are
+    # tiny (1e-14 at m = 25), so no absolute tolerance
+    got = gauss_2f1(m - 0.5, 2.0 * m - 0.5, m + 0.5, -1.0)
+    want = float(scipy.special.hyp2f1(m - 0.5, 2.0 * m - 0.5, m + 0.5, -1.0))
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("args", [
     (0.5, 0.5, 1.5, -1.5),
     (0.5, 0.5, 1.5, 0.7),

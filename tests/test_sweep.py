@@ -3,10 +3,13 @@
 import csv
 import io
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 
 from scevm import analytic
+from scevm.analytic import analytic_formula, formula_name
 from scevm.model import (
     ConfigError,
     DivergentMomentError,
@@ -18,16 +21,15 @@ from scevm.simulate import estimate_evm
 from scevm.sweep import (
     CSV_HEADER,
     SweepSpec,
-    analytic_formula,
     cell_seed,
     emit_csv,
     emit_plot_script,
-    formula_name,
     preset,
     run_sweep,
 )
 
 BASE = SystemConfig(2, 1, SelectionRule.MAX_SIR)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -84,7 +86,7 @@ def test_dispatch_routes():
     assert analytic_formula(
         SystemConfig(3, 3, "max_sir", Fading.nakagami(1.0))) == pytest.approx(
         analytic.evm_max_sir_rayleigh(3, 3), rel=1e-13)
-    # Nakagami outside the named M = 2 and L = 2 cases: the defining integral
+    # Nakagami outside the named L = 2 max-signal case: the defining integral
     for cfg in (SystemConfig(3, 3, "max_sir", Fading.nakagami(2.0)),
                 SystemConfig(3, 2, "max_signal", Fading.nakagami(2.0))):
         assert analytic_formula(cfg) == pytest.approx(
@@ -108,6 +110,37 @@ def test_formula_name_matches_route():
     assert formula_name(
         SystemConfig(2, 1, "max_signal", Fading.nakagami(0.2))) == \
         "evm_max_signal_nakagami"
+
+
+def test_readme_coverage_table_names_every_route():
+    lines = README.read_text(encoding="utf-8").split("## Closed-form coverage\n")[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    table = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    listed = {name for line in table for name in re.findall(r"`(\w+)\(", line.split("|")[2])}
+    routed = set()
+    for antennas, interferers, rule, fading, rho in itertools.product(
+            (1, 2, 3), (1, 2, 3), SelectionRule,
+            (Fading.rayleigh(), Fading.nakagami(0.3), Fading.nakagami(2.0)),
+            (0.0, 0.5, 1.0)):
+        try:
+            cfg = SystemConfig(antennas, interferers, rule, fading, rho)
+        except ConfigError:
+            continue
+        routed.add(formula_name(cfg))
+    routed.discard(None)
+    assert listed == routed
+
+
+def test_wrappers_of_the_defining_integral_are_not_routes():
+    # both wrappers only call evm_from_sir_cdf on the same configuration,
+    # so routing to it directly gives the same bits
+    for antennas in (1, 2, 3):
+        cfg = SystemConfig(antennas, 2, "max_sir", Fading.nakagami(2.0))
+        assert formula_name(cfg) == "evm_from_sir_cdf"
+        assert analytic_formula(cfg) == analytic.evm_max_sir_nakagami(antennas, 2.0)
+    cfg = SystemConfig(2, 1, "max_sir", rho=0.5)
+    assert formula_name(cfg) == "evm_from_sir_cdf"
+    assert analytic_formula(cfg) == analytic.evm_max_sir_correlated(0.5)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -187,6 +220,17 @@ def test_run_sweep_failed_closed_form_still_simulates(spec):
             assert row.analytic is None and row.z_score is None
         else:
             assert row.analytic is not None and row.z_score is not None
+
+
+def test_run_sweep_past_the_signal_rule_gamma_overflow():
+    # from m ~ 515 the closed form's gamma ratio overflows a double; the
+    # integral stands in, where an OverflowError used to abort the sweep
+    spec = SweepSpec("m_d", (500.0, 1000.0),
+                     SystemConfig(2, 2, "max_signal", Fading.nakagami(1.0)),
+                     samples=2000, seed=1)
+    rows = run_sweep(spec)
+    assert [row.status for row in rows] == ["ok", "ok"]
+    assert all(row.analytic is not None and row.z_score is not None for row in rows)
 
 
 def test_run_sweep_correlation_axis_both_rules_consistent():

@@ -29,7 +29,7 @@ from .model import (
     is_count,
 )
 from .quadrature import integrate_semi_infinite
-from .specfun import gamma_ratio, gauss_2f1, log_gamma, marcum_q1, regularized_gamma_p
+from .specfun import gamma_ratio, gauss_2f1, log_gamma, regularized_gamma_p
 
 _SQRT_PI = math.sqrt(math.pi)
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
@@ -317,9 +317,17 @@ def evm_max_signal_correlated(rho, interferers):
     """EVM under max-signal-power selection, two correlated Rayleigh antennas.
 
     The larger of two correlated unit-mean exponential powers has density
-    2 e^-x (1 - Q_1(rho sqrt(2x/(1-rho^2)), sqrt(2x/(1-rho^2)))); its
-    half-inverse moment is integrated as 2 density(t^2) over t = sqrt(x),
-    which removes the weight, then scaled by Gamma(M + 1/2) / Gamma(M).
+    2 e^-x (1 - Q_1(rho b, b)), b = sqrt(2x/(1-rho^2)). With Q_1 in Craig's
+    finite-range form the x-integral of x^(-1/2) times it is closed, and
+    substituting z = tan(angle) leaves, with a = (1 - rho) / (1 + rho),
+
+        E[max^(-1/2)] = 2 sqrt(pi) (1 - sqrt(2/(1+rho)) J / pi),
+        J = integral_0^inf sqrt((1 + a z^2) / (1 + a^2 z^2)) dz / (1 + z^2),
+
+    scaled by Gamma(M + 1/2) / Gamma(M). J is integrated over s = -ln z
+    folded about z = 1: y = e^-s never overflows, and the boundary layer at
+    z ~ a, which the plain z-form misses silently as rho -> 1, stays an O(1)
+    distance in s from z = 1. Cost and accuracy are bounded for any rho < 1.
 
     Args:
         rho: correlation coefficient of the complex channel gains, in [0, 1).
@@ -332,15 +340,17 @@ def evm_max_signal_correlated(rho, interferers):
     if not (0.0 <= rho < 1.0):
         raise UnsupportedDomainError(
             f"rho must lie in [0, 1), got {rho}; use evm_fully_correlated at rho = 1")
-    one_minus_r2 = (1.0 - rho) * (1.0 + rho)
+    a = (1.0 - rho) / (1.0 + rho)
 
-    def density(x):
-        if x <= 0.0 or x > 745.0:  # exp(-x) underflows past 745
-            return 0.0
-        arg = math.sqrt(2.0 * x / one_minus_r2)
-        return 2.0 * math.exp(-x) * (1.0 - marcum_q1(rho * arg, arg))
+    def folded(s):
+        # z = y on (0, 1] plus z = 1/y on [1, inf), both with dz/(1+z^2) = y ds/(1+y^2)
+        y = math.exp(-s)
+        y2 = y * y
+        return y / (1.0 + y2) * (math.sqrt((1.0 + a * y2) / (1.0 + a * a * y2))
+                                 + math.sqrt((y2 + a) / (y2 + a * a)))
 
-    moment = integrate_semi_infinite(lambda t: 2.0 * density(t * t)).value
+    j = integrate_semi_infinite(folded).value
+    moment = 2.0 * _SQRT_PI * (1.0 - math.sqrt(2.0 / (1.0 + rho)) * j / math.pi)
     return moment * gamma_ratio(interferers + 0.5, interferers)
 
 

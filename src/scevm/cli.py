@@ -128,12 +128,18 @@ def _system_config(settings):
                         float(settings["rho"]))
 
 
+def _exact_text(x):
+    # shortest round-trip text, so rho 0.999999999 is not shown as rho=1
+    text = repr(x)
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _cmd_eval(args):
     settings = _resolve_eval_settings(args)
     cfg = _system_config(settings)
     exact = analytic_formula(cfg)
     print(f"L={cfg.antennas} M={cfg.interferers} rule={cfg.rule.value} "
-          f"fading={cfg.fading.kind} m={cfg.fading.m:g} rho={cfg.rho:g}")
+          f"fading={cfg.fading.kind} m={_exact_text(cfg.fading.m)} rho={_exact_text(cfg.rho)}")
     if exact is None and not args.mc:
         raise ConfigError("no closed form covers this configuration; "
                           "re-run with --mc for a simulated value")

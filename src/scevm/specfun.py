@@ -2,10 +2,9 @@
 
 Self-contained double-precision implementations: log-gamma by the Lanczos
 approximation, the regularized incomplete gamma functions by the standard
-series / continued-fraction split, the Gauss hypergeometric function on
-its series-plus-Pfaff domain, and the first-order Marcum Q function summed
-as a Poisson mixture of regularized upper incomplete gammas. All functions
-are pure and safe for concurrent use.
+series / continued-fraction split, and the Gauss hypergeometric function
+on its series-plus-Pfaff domain. All functions are pure and safe for
+concurrent use.
 """
 
 import math
@@ -119,25 +118,35 @@ def _upper_gamma_continued_fraction(s, z):
     raise NumericalError(f"incomplete gamma continued fraction failed to converge for s={s}, z={z}")
 
 
-def regularized_gamma_p(s, z):
-    """Regularized lower incomplete gamma function P(s, z).
-
-    Args:
-        s: shape parameter, > 0.
-        z: integration limit, >= 0.
-
-    Returns:
-        P(s, z) in [0, 1], absolute error below 1e-12.
-    """
+def _regularized_gamma_pair(s, z):
+    # (P, Q), with whichever of the two the branch computes directly kept
+    # free of the cancellation in forming it as 1 minus the other
     if not (s > 0.0):
         raise UnsupportedDomainError(f"shape s must be positive, got {s}")
     if z < 0.0:
         raise UnsupportedDomainError(f"z must be nonnegative, got {z}")
     if z == 0.0:
-        return 0.0
+        return 0.0, 1.0
+    if z == math.inf:
+        return 1.0, 0.0
     if z < s + 1.0:
-        return math.exp(_log_gamma_prefactor(s, z)) * _lower_gamma_series(s, z)
-    return 1.0 - _upper_gamma_continued_fraction(s, z)
+        p = math.exp(_log_gamma_prefactor(s, z)) * _lower_gamma_series(s, z)
+        return p, 1.0 - p
+    q = _upper_gamma_continued_fraction(s, z)
+    return 1.0 - q, q
+
+
+def regularized_gamma_p(s, z):
+    """Regularized lower incomplete gamma function P(s, z).
+
+    Args:
+        s: shape parameter, > 0.
+        z: integration limit, >= 0 (math.inf allowed).
+
+    Returns:
+        P(s, z) in [0, 1], absolute error below 1e-12.
+    """
+    return _regularized_gamma_pair(s, z)[0]
 
 
 def regularized_gamma_q(s, z):
@@ -148,20 +157,12 @@ def regularized_gamma_q(s, z):
 
     Args:
         s: shape parameter, > 0.
-        z: integration limit, >= 0.
+        z: integration limit, >= 0 (math.inf allowed).
 
     Returns:
         Q(s, z) in [0, 1], absolute error below 1e-12.
     """
-    if not (s > 0.0):
-        raise UnsupportedDomainError(f"shape s must be positive, got {s}")
-    if z < 0.0:
-        raise UnsupportedDomainError(f"z must be nonnegative, got {z}")
-    if z == 0.0:
-        return 1.0
-    if z < s + 1.0:
-        return 1.0 - math.exp(_log_gamma_prefactor(s, z)) * _lower_gamma_series(s, z)
-    return _upper_gamma_continued_fraction(s, z)
+    return _regularized_gamma_pair(s, z)[1]
 
 
 def _hypergeometric_series(a, b, c, z):
@@ -213,50 +214,3 @@ def gauss_2f1(a, b, c, z):
     if z > 0.5:
         raise UnsupportedDomainError(f"z = {z} is outside the supported series domain (need z <= 0.5)")
     return _hypergeometric_series(a, b, c, z)
-
-
-def marcum_q1(a, b):
-    """First-order Marcum Q function Q_1(a, b).
-
-    Summed as sum_k e^(-a^2/2) (a^2/2)^k / k! * Q(k+1, b^2/2), a Poisson
-    mixture of regularized upper incomplete gammas. The mixture index is
-    windowed around the Poisson mode so large noncentralities neither
-    underflow nor require summing from zero.
-
-    Args:
-        a: noncentrality argument, >= 0.
-        b: threshold argument, >= 0.
-
-    Returns:
-        Q_1(a, b) in [0, 1], absolute error below 1e-10.
-    """
-    if a < 0.0 or b < 0.0:
-        raise UnsupportedDomainError(f"marcum_q1 requires a, b >= 0, got a={a}, b={b}")
-    w = 0.5 * a * a
-    y = 0.5 * b * b
-    if w == 0.0:
-        return math.exp(-y)
-    if y == 0.0:
-        return 1.0
-    if w <= 30.0:
-        k0 = 0
-        weight = math.exp(-w)
-    else:
-        # Poisson mass below the window start is under e^-72
-        k0 = max(0, int(w - 12.0 * math.sqrt(w) - 30.0))
-        weight = math.exp(-w + k0 * math.log(w) - log_gamma(k0 + 1.0))
-    q = regularized_gamma_q(k0 + 1.0, y)
-    t = math.exp(-y + k0 * math.log(y) - log_gamma(k0 + 1.0))
-    total = weight * q
-    mass = weight
-    # the Poisson window spans O(sqrt(w)) indices either side of the mode
-    budget = max(_MAX_SERIES_ITER, int(26.0 * math.sqrt(w)) + 200)
-    for k in range(k0 + 1, k0 + budget):
-        weight *= w / k
-        t *= y / k
-        q += t  # Q(k+1, y) from Q(k, y)
-        total += weight * q
-        mass += weight
-        if k > w and (1.0 - mass < 1e-17 or weight < 1e-18 * mass):
-            return min(1.0, total)
-    raise NumericalError(f"marcum_q1 mixture failed to converge for a={a}, b={b}")

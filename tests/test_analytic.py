@@ -150,6 +150,49 @@ def test_max_signal_correlated_frozen(args, want):
     assert analytic.evm_max_signal_correlated(*args) == pytest.approx(want, abs=1e-9)
 
 
+# E[max^(-1/2)] of two correlated unit-mean exponential powers, the EVM over
+# Gamma(M + 1/2) / Gamma(M), by 40-digit mpmath quadrature; it reaches
+# sqrt(pi), the fully correlated value, only at rho = 1
+MAX_SIGNAL_CORRELATED_NEAR_ONE = {
+    0.9999: 1.7298610377167818,
+    0.999999: 1.7663575134751052,
+    1.0 - 1e-8: 1.7716604976603076,
+    1.0 - 1e-12: 1.7724422430984878,
+    math.nextafter(1.0, 0.0): 1.7724536903196272,
+}
+
+
+def _interferer_moment(interferers):
+    return math.exp(math.lgamma(interferers + 0.5) - math.lgamma(interferers))
+
+
+@pytest.mark.parametrize("rho,want", sorted(MAX_SIGNAL_CORRELATED_NEAR_ONE.items()))
+@pytest.mark.parametrize("interferers", [1, 3])
+def test_max_signal_correlated_near_full_correlation(rho, want, interferers):
+    got = analytic.evm_max_signal_correlated(rho, interferers)
+    assert got / _interferer_moment(interferers) == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("rho", [0.15, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("interferers", [1, 3])
+def test_max_signal_correlated_against_noncentral_chi2(rho, interferers):
+    # the density 2 e^-x (1 - Q_1(rho b, b)), b = sqrt(2x/(1-rho^2)), of the
+    # larger power, with Q_1 from scipy's noncentral chi-square survival
+    # function, and its half-inverse moment by QUADPACK over x = t^2
+    from scipy import integrate, stats
+
+    one_minus_r2 = (1.0 - rho) * (1.0 + rho)
+
+    def density(x):
+        b2 = 2.0 * x / one_minus_r2
+        return 2.0 * math.exp(-x) * (1.0 - stats.ncx2.sf(b2, df=2, nc=rho * rho * b2))
+
+    moment, _ = integrate.quad(lambda t: 2.0 * density(t * t), 0.0, math.inf,
+                               epsabs=0.0, epsrel=1e-13, limit=200)
+    assert analytic.evm_max_signal_correlated(rho, interferers) == pytest.approx(
+        moment * _interferer_moment(interferers), rel=1e-12)
+
+
 def test_fully_correlated_values():
     assert analytic.evm_fully_correlated(1) == pytest.approx(
         0.5 * math.pi, rel=1e-13)
@@ -429,6 +472,13 @@ def test_signal_rule_closed_form_at_large_shape(m):
     cfg = SystemConfig(2, 2, SelectionRule.MAX_SIGNAL, Fading.nakagami(m))
     assert analytic.evm_max_signal_nakagami(m, 2) == pytest.approx(
         analytic.evm_from_sir_cdf(cfg), rel=1e-12)
+
+
+@pytest.mark.parametrize("interferers", [1, 3])
+def test_signal_rule_at_huge_shape_reaches_the_deterministic_limit(interferers):
+    # m y overflows to inf in the defining integral; P(m, inf) = 1 there
+    assert analytic.evm_max_signal_nakagami(1e305, interferers) == pytest.approx(
+        _interferer_moment(interferers), rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [1e9, 1e50, 1e300])

@@ -58,6 +58,26 @@ def test_eval_correlated(capsys):
     assert value == pytest.approx(analytic.evm_max_sir_correlated(0.6), rel=1e-9)
 
 
+@pytest.mark.parametrize("rho", [0.999999999, math.nextafter(1.0, 0.0)])
+def test_eval_header_shows_rho_exactly(capsys, rho):
+    # short of full correlation the route is the correlated integral, so the
+    # header must not round rho to 1
+    code, value, out = _eval_value(capsys, [
+        "eval", "--L", "2", "--M", "3", "--rule", "max-signal", "--rho", repr(rho)])
+    assert code == 0
+    assert f"m=1 rho={rho!r}\n" in out
+    assert "[evm_max_signal_correlated]" in out
+    from scevm import analytic
+    assert value == pytest.approx(analytic.evm_max_signal_correlated(rho, 3), rel=1e-14)
+
+
+def test_eval_signal_rule_at_huge_shape(capsys):
+    code, _, out = _eval_value(capsys, [
+        "eval", "--rule", "max-signal", "--fading", "nakagami", "--md", "1e305"])
+    assert code == 0
+    assert "m=1e+305 rho=0\n" in out
+
+
 def test_eval_with_mc(capsys):
     code = main(["eval", "--mc", "--samples", "20000", "--seed", "3"])
     out = capsys.readouterr().out

@@ -6,8 +6,8 @@ verification suite, and `sweep` produces the built-in comparison tables
 with gnuplot companions.
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 numerical
-failure (divergent moment, series out of range, quadrature accuracy),
-3 verification found a disagreement.
+failure (divergent moment, a tail or quadrature that cannot reach its
+accuracy), 3 verification found a disagreement.
 """
 
 import argparse

@@ -1,10 +1,9 @@
 """Scalar special functions backing the closed-form EVM expressions.
 
 Self-contained double-precision implementations: log-gamma by the Lanczos
-approximation, the regularized incomplete gamma functions by the standard
-series / continued-fraction split, and the Gauss hypergeometric function
-on its series-plus-Pfaff domain. All functions are pure and safe for
-concurrent use.
+approximation and the regularized lower incomplete gamma function by the
+standard series / continued-fraction split. All functions are pure and
+safe for concurrent use.
 """
 
 import math
@@ -74,7 +73,11 @@ def gamma_ratio(a, b):
 
 
 def _log_gamma_prefactor(s, z):
-    return s * math.log(z) - z - log_gamma(s)
+    log_prefactor = s * math.log(z) - z - log_gamma(s)
+    if math.isnan(log_prefactor):
+        # log_gamma(s) and s ln z overflow together from s ~ 2.6e305
+        raise NumericalError(f"incomplete gamma prefactor overflows for s={s}, z={z}")
+    return log_prefactor
 
 
 def _lower_gamma_series(s, z):
@@ -118,99 +121,34 @@ def _upper_gamma_continued_fraction(s, z):
     raise NumericalError(f"incomplete gamma continued fraction failed to converge for s={s}, z={z}")
 
 
-def _regularized_gamma_pair(s, z):
-    # (P, Q), with whichever of the two the branch computes directly kept
-    # free of the cancellation in forming it as 1 minus the other
+def regularized_gamma_p(s, z):
+    """Regularized lower incomplete gamma function P(s, z).
+
+    Computed by the power series below z = s + 1 and as 1 - Q by the
+    continued fraction above.
+
+    Args:
+        s: shape parameter, > 0.
+        z: integration limit, >= 0 (math.inf allowed).
+
+    Returns:
+        P(s, z) in [0, 1]. Against scipy at z = s the absolute error is
+        3e-14 at s = 1e3, 3.4e-10 at s = 1e6 and 1.3e-7 at s = 1e8; from
+        s = z = 1e9 the series does not converge and NumericalError is
+        raised.
+
+    Raises:
+        NumericalError: if the series or continued fraction does not
+            converge, or the prefactor overflows (s from about 2.6e305).
+    """
     if not (s > 0.0):
         raise UnsupportedDomainError(f"shape s must be positive, got {s}")
     if z < 0.0:
         raise UnsupportedDomainError(f"z must be nonnegative, got {z}")
     if z == 0.0:
-        return 0.0, 1.0
+        return 0.0
     if z == math.inf:
-        return 1.0, 0.0
-    if z < s + 1.0:
-        p = math.exp(_log_gamma_prefactor(s, z)) * _lower_gamma_series(s, z)
-        return p, 1.0 - p
-    q = _upper_gamma_continued_fraction(s, z)
-    return 1.0 - q, q
-
-
-def regularized_gamma_p(s, z):
-    """Regularized lower incomplete gamma function P(s, z).
-
-    Args:
-        s: shape parameter, > 0.
-        z: integration limit, >= 0 (math.inf allowed).
-
-    Returns:
-        P(s, z) in [0, 1], absolute error below 1e-12.
-    """
-    return _regularized_gamma_pair(s, z)[0]
-
-
-def regularized_gamma_q(s, z):
-    """Regularized upper incomplete gamma function Q(s, z) = 1 - P(s, z).
-
-    Computed on the branch (series or continued fraction) that avoids
-    cancellation, so Q is accurate down to its underflow.
-
-    Args:
-        s: shape parameter, > 0.
-        z: integration limit, >= 0 (math.inf allowed).
-
-    Returns:
-        Q(s, z) in [0, 1], absolute error below 1e-12.
-    """
-    return _regularized_gamma_pair(s, z)[1]
-
-
-def _hypergeometric_series(a, b, c, z):
-    # plain power series; callers guarantee |z| <= 0.5 so convergence is
-    # geometric, or a terminating numerator parameter
-    term = 1.0
-    total = 1.0
-    for n in range(0, _MAX_SERIES_ITER):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) <= abs(total) * _REL_EPS:
-            return total
-    raise NumericalError(f"hypergeometric series failed to converge for ({a}, {b}; {c}; {z})")
-
-
-def gauss_2f1(a, b, c, z):
-    """Gauss hypergeometric function 2F1(a, b; c; z) on a restricted domain.
-
-    Supported arguments: 0 <= z <= 0.5 directly by the power series, and
-    -1 <= z < 0 through the Pfaff transformation z -> z / (z - 1), which
-    maps the needed z = -1 onto the point 1/2. Pfaff's series has numerator
-    parameters a and c - b; when c - b < 0 <= c - a its terms alternate and
-    cancel, so a and b (2F1 is symmetric in them) are swapped first.
-    Arguments requiring analytic continuation are rejected.
-
-    Args:
-        a, b: numerator parameters.
-        c: denominator parameter; must not be a nonpositive integer.
-        z: argument in [-1, 0.5].
-
-    Returns:
-        2F1(a, b; c; z), relative error below 1e-10.
-
-    Raises:
-        UnsupportedDomainError: for z outside [-1, 0.5] or poles of c.
-    """
-    if c <= 0.0 and c == math.floor(c):
-        raise UnsupportedDomainError(f"c must not be a nonpositive integer, got {c}")
-    if z == 0.0:
         return 1.0
-    if z < 0.0:
-        if z < -1.0:
-            raise UnsupportedDomainError(
-                f"z = {z} maps outside the supported series domain (need z >= -1)")
-        if c - b < 0.0 <= c - a:
-            a, b = b, a
-        w = z / (z - 1.0)
-        return (1.0 - z) ** (-a) * _hypergeometric_series(a, c - b, c, w)
-    if z > 0.5:
-        raise UnsupportedDomainError(f"z = {z} is outside the supported series domain (need z <= 0.5)")
-    return _hypergeometric_series(a, b, c, z)
+    if z - s < 1.0:  # not z < s + 1, which rounds to z < s from s ~ 9e15
+        return math.exp(_log_gamma_prefactor(s, z)) * _lower_gamma_series(s, z)
+    return 1.0 - _upper_gamma_continued_fraction(s, z)

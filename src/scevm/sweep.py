@@ -97,9 +97,10 @@ def run_sweep(spec):
     Points whose configuration is invalid come back as `unsupported` with
     the swept coordinate filled in; points whose EVM is provably infinite
     come back as `diverged` and skip the simulator.  Valid points with no
-    closed form, or whose closed form fails numerically (SeriesRangeError,
-    a quadrature that cannot reach its tolerance), stay `ok` with empty
-    analytic and z columns, so the simulator still covers them.
+    closed form, or whose route fails numerically (NumericalError, e.g. a
+    tail past the double range just above the divergence boundary), stay
+    `ok` with empty analytic and z columns, so the simulator still covers
+    them.
     """
     rows = []
     for value in spec.values:

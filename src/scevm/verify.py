@@ -73,20 +73,23 @@ def anchor_checks():
 
 
 def quadrature_identity_checks():
-    """Alternating-sum closed form against its defining integral.
+    """Alternating-sum closed forms against their defining integral.
 
     The EVM equals the integral over x of the selected-SIR CDF at x^-2;
-    evaluating that integral numerically exercises none of the term
-    rearrangement behind the closed form.
+    evaluating that integral numerically, as analytic_formula does for
+    independent antennas, exercises none of the term rearrangement behind
+    the closed forms.
     """
+    closed_forms = {SelectionRule.MAX_SIR: analytic.evm_max_sir_rayleigh,
+                    SelectionRule.MAX_SIGNAL: analytic.evm_max_signal_rayleigh}
     checks = []
-    for antennas in (1, 2, 3):
-        for interferers in (1, 2, 4):
-            checks.append(_close(
-                f"defining-integral max_sir L={antennas} M={interferers}",
-                analytic.evm_from_sir_cdf(
-                    SystemConfig(antennas, interferers, SelectionRule.MAX_SIR)),
-                analytic.evm_max_sir_rayleigh(antennas, interferers), 1e-7))
+    for rule, closed_form in closed_forms.items():
+        for antennas in (1, 2, 3):
+            for interferers in (1, 2, 4):
+                checks.append(_close(
+                    f"defining-integral {rule.value} L={antennas} M={interferers}",
+                    analytic.evm_from_sir_cdf(SystemConfig(antennas, interferers, rule)),
+                    closed_form(antennas, interferers), 1e-7))
     return checks
 
 

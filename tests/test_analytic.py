@@ -9,6 +9,7 @@ CDF otherwise), then frozen here verbatim.
 import math
 
 import pytest
+from oracles import exact_single_antenna, quad_oracle
 
 from scevm import analytic
 from scevm.model import (
@@ -250,44 +251,13 @@ def test_signal_divergence_boundary(m):
         analytic.evm_max_signal_nakagami(m, 1)
 
 
-def _exact_single_antenna(m, interferers):
-    # at L = 1 the SIR factorizes: E[sqrt(I)] E[g^-1/2]
-    return math.sqrt(m) * math.exp(
-        math.lgamma(interferers + 0.5) - math.lgamma(interferers)
-        + math.lgamma(m - 0.5) - math.lgamma(m))
-
-
 @pytest.mark.parametrize("rule", list(SelectionRule))
 @pytest.mark.parametrize("m", [0.55, 0.6, 0.75, 2.0])
 @pytest.mark.parametrize("interferers", [1, 2, 4])
 def test_defining_integral_single_antenna_exact(rule, m, interferers):
     cfg = SystemConfig(1, interferers, rule, Fading.nakagami(m))
     assert analytic.evm_from_sir_cdf(cfg) == pytest.approx(
-        _exact_single_antenna(m, interferers), rel=1e-12)
-
-
-def _quad_oracle(rule, antennas, interferers, m):
-    # the defining integral by QUADPACK over scipy's incomplete gamma and
-    # beta functions: with u = x^-2 it is (1/2) int_0^1 u^-3/2 F(u) du plus
-    # int_0^1 F(v^-2) dv, and near 0 F(u) = u^(L m) times a smooth factor,
-    # which the algebraic weight of quad takes exactly
-    from scipy import integrate, special
-
-    a = antennas * m
-    if rule is SelectionRule.MAX_SIGNAL:
-        cdf = lambda u: special.gammainc(m, m * u) ** antennas
-        at_zero = (m ** m / math.gamma(m + 1.0)) ** antennas
-        scale = math.exp(math.lgamma(interferers + 0.5) - math.lgamma(interferers))
-    else:
-        cdf = lambda u: special.betainc(m, interferers, m * u / (1.0 + m * u)) ** antennas
-        at_zero = (m ** (m - 1.0) / special.beta(m, interferers)) ** antennas
-        scale = 1.0
-    near, _ = integrate.quad(lambda u: at_zero if u == 0.0 else cdf(u) / u ** a,
-                             0.0, 1.0, weight="alg", wvar=(a - 1.5, 0.0),
-                             epsabs=0.0, epsrel=1e-13, limit=200)
-    far, _ = integrate.quad(lambda v: cdf(v ** -2.0), 0.0, 1.0,
-                            epsabs=0.0, epsrel=1e-13, limit=200)
-    return scale * (0.5 * near + far)
+        exact_single_antenna(m, interferers), rel=1e-12)
 
 
 @pytest.mark.parametrize("rule,antennas,interferers,m", [
@@ -299,11 +269,11 @@ def _quad_oracle(rule, antennas, interferers, m):
 ])
 def test_defining_integral_heavy_tail_against_scipy(rule, antennas, interferers, m):
     # 1 < 2 L m < 2, so the integrand decays like x^(-2 L m), slower than
-    # x^-2; the routes are evm_from_sir_cdf (max-SIR) and
-    # evm_max_signal_nakagami (L = 2), here where its closed form does not exist
+    # x^-2; the route is evm_from_sir_cdf under either rule
     cfg = SystemConfig(antennas, interferers, rule, Fading.nakagami(m))
-    assert analytic.analytic_formula(cfg) == pytest.approx(
-        _quad_oracle(rule, antennas, interferers, m), rel=1e-9)
+    want = quad_oracle(rule, antennas, interferers, m)
+    assert want is not None
+    assert analytic.analytic_formula(cfg) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("rule", list(SelectionRule))
@@ -332,6 +302,57 @@ def test_series_range_guard():
         analytic.evm_max_sir_rayleigh(76, 2)
     with pytest.raises(SeriesRangeError):
         analytic.evm_max_sir_rayleigh(151, 1)
+
+
+# (max-SIR, max-signal) EVM of large independent Rayleigh arrays, from the
+# alternating sums in 400-digit mpmath arithmetic, rounded to 19 digits
+LARGE_ARRAY_RAYLEIGH = {
+    (25, 1): (0.1799606416360825969, 0.4712197059289788256),
+    (25, 2): (0.4523653218709010427, 0.7068295588934682384),
+    (25, 8): (1.337503478326756395, 1.480614652174306027),
+    (28, 1): (0.1697667172562267216, 0.463528012564139543),
+    (28, 2): (0.4368657850914425054, 0.6952920188462093146),
+    (28, 8): (1.310550536622293551, 1.456446660571405254),
+    (40, 1): (0.1414557826103446317, 0.441613257655852863),
+    (40, 2): (0.3924818409343437739, 0.6624198864837792945),
+    (40, 8): (1.233291165041917855, 1.387588531745807214),
+    (76, 1): (0.102162259654301565, 0.4090729264297324459),
+    (76, 2): (0.3262124851393210478, 0.6136093896445986689),
+    (76, 8): (1.117138563695346224, 1.285343887487953266),
+    (200, 1): (0.06278351185624309706, 0.37149244555996512),
+    (200, 2): (0.2500629286026713685, 0.5572386683399476801),
+    (200, 8): (0.9804536413703711034, 1.167262640223816185),
+}
+
+
+@pytest.mark.parametrize("args,want", sorted(LARGE_ARRAY_RAYLEIGH.items()))
+def test_large_rayleigh_arrays_through_the_defining_integral(args, want):
+    # where the alternating sums lose digits or refuse, analytic_formula
+    # keeps full accuracy
+    for rule, value in zip(SelectionRule, want):
+        assert analytic.analytic_formula(SystemConfig(*args, rule)) == pytest.approx(
+            value, rel=1e-12)
+
+
+# the largest L each alternating sum still returns, with its mpmath value;
+# one antenna more cancels past the 1e-9 accuracy bound and raises
+LAST_TRUSTED_SUM = {
+    ("max_sir", 14, 1): 0.2434436124036163357,
+    ("max_sir", 13, 2): 0.558769881290514786,
+    ("max_sir", 11, 8): 1.580909114996684602,
+    ("max_signal", 20, 1): 0.487576760626699316,
+    ("max_signal", 20, 8): 1.532009987613676806,
+}
+
+
+@pytest.mark.parametrize("args,want", sorted(LAST_TRUSTED_SUM.items()))
+def test_alternating_sums_keep_their_digits_or_raise(args, want):
+    rule, antennas, interferers = args
+    closed_form = {"max_sir": analytic.evm_max_sir_rayleigh,
+                   "max_signal": analytic.evm_max_signal_rayleigh}[rule]
+    assert closed_form(antennas, interferers) == pytest.approx(want, rel=1e-9)
+    with pytest.raises(SeriesRangeError, match="analytic_formula"):
+        closed_form(antennas + 1, interferers)
 
 
 @pytest.mark.parametrize("call", [
@@ -455,23 +476,13 @@ def test_best_antenna_cdf_rejects_max_signal():
         analytic.sir_cdf_best_antenna(1.0, SystemConfig(2, 1, SelectionRule.MAX_SIGNAL))
 
 
-def test_signal_rule_closed_form_is_cross_checked(monkeypatch):
-    # the max-signal shape-family result re-derives itself by quadrature on
-    # every call; breaking one route must be caught, not returned
-    import scevm.analytic as module
-
-    broken = lambda a, b, c, z: 0.9
-    monkeypatch.setattr(module, "gauss_2f1", broken)
-    with pytest.raises(NumericalError):
-        module.evm_max_signal_nakagami(2.0, 1)
-
-
-@pytest.mark.parametrize("m", [25.0, 40.0, 200.0, 1000.0, 1e300])
+@pytest.mark.parametrize("m", [25.0, 40.0, 200.0, 1000.0])
 def test_signal_rule_closed_form_at_large_shape(m):
-    # the closed form where its gamma ratio fits a double, the integral beyond
-    cfg = SystemConfig(2, 2, SelectionRule.MAX_SIGNAL, Fading.nakagami(m))
-    assert analytic.evm_max_signal_nakagami(m, 2) == pytest.approx(
-        analytic.evm_from_sir_cdf(cfg), rel=1e-12)
+    # where the paper's 2F1 form lost digits (m = 25 to 40) or overflowed
+    # (m above about 515), against the scipy oracle
+    want = quad_oracle(SelectionRule.MAX_SIGNAL, 2, 2, m)
+    assert want is not None
+    assert analytic.evm_max_signal_nakagami(m, 2) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("interferers", [1, 3])

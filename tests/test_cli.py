@@ -24,8 +24,8 @@ def test_eval_defaults(capsys):
     assert code == 0
     assert value == pytest.approx(math.pi / 4.0, abs=1e-10)
     assert "L=2 M=1 rule=max_sir fading=rayleigh" in out
-    # the report names the closed form it dispatched to
-    assert "[evm_max_sir_rayleigh]" in out
+    # the report names the route it dispatched to
+    assert "[evm_from_sir_cdf]" in out
 
 
 def test_eval_single_antenna_anchor(capsys):

@@ -82,13 +82,16 @@ def test_dispatch_routes():
     assert analytic_formula(
         SystemConfig(2, 3, "max_signal", rho=0.5)) == pytest.approx(
         analytic.evm_max_signal_correlated(0.5, 3), rel=1e-13)
-    # shape 1 is the same law as Rayleigh, so the series route applies
+    # shape 1 is the same law as Rayleigh, and the series agrees with the
+    # defining integral there
     assert analytic_formula(
         SystemConfig(3, 3, "max_sir", Fading.nakagami(1.0))) == pytest.approx(
         analytic.evm_max_sir_rayleigh(3, 3), rel=1e-13)
-    # Nakagami outside the named L = 2 max-signal case: the defining integral
+    # independent antennas, Rayleigh or Nakagami: the defining integral
     for cfg in (SystemConfig(3, 3, "max_sir", Fading.nakagami(2.0)),
-                SystemConfig(3, 2, "max_signal", Fading.nakagami(2.0))):
+                SystemConfig(3, 2, "max_signal", Fading.nakagami(2.0)),
+                SystemConfig(3, 3, "max_sir"),
+                SystemConfig(2, 2, "max_signal", Fading.nakagami(2.0))):
         assert analytic_formula(cfg) == pytest.approx(
             analytic.evm_from_sir_cdf(cfg), rel=1e-13)
     assert analytic_formula(SystemConfig(2, 3, "max_sir", rho=0.5)) is None
@@ -98,7 +101,8 @@ def test_dispatch_routes():
 
 
 def test_formula_name_matches_route():
-    assert formula_name(SystemConfig(2, 1, "max_sir")) == "evm_max_sir_rayleigh"
+    assert formula_name(SystemConfig(2, 1, "max_sir")) == "evm_from_sir_cdf"
+    assert formula_name(SystemConfig(5, 2, "max_signal")) == "evm_from_sir_cdf"
     assert formula_name(
         SystemConfig(2, 3, "max_signal", rho=0.5)) == "evm_max_signal_correlated"
     assert formula_name(SystemConfig(2, 3, "max_sir", rho=1.0)) == \
@@ -109,7 +113,7 @@ def test_formula_name_matches_route():
     # naming never evaluates, so even divergent points report their route
     assert formula_name(
         SystemConfig(2, 1, "max_signal", Fading.nakagami(0.2))) == \
-        "evm_max_signal_nakagami"
+        "evm_from_sir_cdf"
 
 
 def test_readme_coverage_table_names_every_route():
@@ -132,7 +136,7 @@ def test_readme_coverage_table_names_every_route():
 
 
 def test_wrappers_of_the_defining_integral_are_not_routes():
-    # both wrappers only call evm_from_sir_cdf on the same configuration,
+    # the wrappers only call evm_from_sir_cdf on the same configuration,
     # so routing to it directly gives the same bits
     for antennas in (1, 2, 3):
         cfg = SystemConfig(antennas, 2, "max_sir", Fading.nakagami(2.0))
@@ -141,6 +145,15 @@ def test_wrappers_of_the_defining_integral_are_not_routes():
     cfg = SystemConfig(2, 1, "max_sir", rho=0.5)
     assert formula_name(cfg) == "evm_from_sir_cdf"
     assert analytic_formula(cfg) == analytic.evm_max_sir_correlated(0.5)
+    for m in (0.6, 2.0, 1000.0):
+        cfg = SystemConfig(2, 3, "max_signal", Fading.nakagami(m))
+        assert formula_name(cfg) == "evm_from_sir_cdf"
+        assert analytic_formula(cfg) == analytic.evm_max_signal_nakagami(m, 3)
+    # Rayleigh is shape 1, and the alternating sums are references, not routes
+    cfg = SystemConfig(2, 3, "max_signal")
+    assert formula_name(cfg) == "evm_from_sir_cdf"
+    assert analytic_formula(cfg) == analytic.evm_max_signal_nakagami(1.0, 3)
+    assert analytic_formula(cfg) == analytic.evm_from_sir_cdf(cfg)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -202,29 +215,31 @@ def test_run_sweep_uncovered_configuration_still_simulates():
     assert rows[1].z_score is None
 
 
-@pytest.mark.parametrize("spec", [
-    # L = 76 at M = 2: the alternating sum raises SeriesRangeError
-    SweepSpec("L", (20, 76), SystemConfig(1, 2, "max_sir"), samples=2000, seed=1),
+def test_run_sweep_failed_closed_form_still_simulates():
     # 2 L m = 1.01: the defining integral's tail passes the double range
-    SweepSpec("m_d", (0.505, 0.6), SystemConfig(1, 2, "max_sir", Fading.nakagami(1)),
-              samples=2000, seed=1),
-])
-def test_run_sweep_failed_closed_form_still_simulates(spec):
-    failing = spec.values[1] if spec.axis == "L" else spec.values[0]
+    spec = SweepSpec("m_d", (0.505, 0.6), SystemConfig(1, 2, "max_sir", Fading.nakagami(1)),
+                     samples=2000, seed=1)
     rows = run_sweep(spec)
     assert len(rows) == 2
     assert all(row.status == "ok" and row.mc_mean is not None for row in rows)
-    for row in rows:
-        coordinate = row.antennas if spec.axis == "L" else row.shape
-        if coordinate == failing:
-            assert row.analytic is None and row.z_score is None
-        else:
-            assert row.analytic is not None and row.z_score is not None
+    assert rows[0].analytic is None and rows[0].z_score is None
+    assert rows[1].analytic is not None and rows[1].z_score is not None
+
+
+def test_run_sweep_past_the_alternating_sums():
+    # L = 76 at M = 2, where the max-SIR alternating sum raises
+    # SeriesRangeError, has an analytic value through the defining integral
+    spec = SweepSpec("L", (20, 76), SystemConfig(1, 2, "max_sir"), samples=2000, seed=1)
+    rows = run_sweep(spec)
+    assert [row.status for row in rows] == ["ok", "ok"]
+    assert all(row.analytic is not None and row.z_score is not None for row in rows)
+    assert rows[1].analytic == pytest.approx(0.3262124851393210478, rel=1e-12)
 
 
 def test_run_sweep_past_the_signal_rule_gamma_overflow():
-    # from m ~ 515 the closed form's gamma ratio overflows a double; the
-    # integral stands in, where an OverflowError used to abort the sweep
+    # from m ~ 515 the gamma ratio of the paper's 2F1 form overflows a
+    # double, which once aborted the sweep; the defining integral has no
+    # such limit
     spec = SweepSpec("m_d", (500.0, 1000.0),
                      SystemConfig(2, 2, "max_signal", Fading.nakagami(1.0)),
                      samples=2000, seed=1)

@@ -33,7 +33,14 @@ symbol level keeps one chunk in flight: each of its chunks holds tens of
 megabytes of symbols, and overlapping two of them costs more memory than it
 saves time. Large temporaries are built in row slices of at most `_SLICE`
 values; generator fills are sequential and each row is reduced on its own,
-so slicing changes no bit.
+so slicing changes no bit. Interferer sums are written in place into the
+chunk's interference array, and a single interferer is drawn straight into
+it.
+
+Selecting the kept antenna is a comparison at two antennas (an argmax at
+three or more, nothing at one), and the kept powers are gathered from the
+flattened arrays at index + row * antennas; both give the bits of numpy's
+rowwise argmax and two-dimensional indexing.
 """
 
 import functools
@@ -110,32 +117,37 @@ def _correlated_pair_gains(rng, count, rho):
     return np.stack([h1, h2], axis=1)
 
 
-def _sum_interferers(power):
-    """Sum over the last (interferer) axis in index order.
+def _sum_interferers(power, out=None):
+    """Sum over the last (interferer) axis in index order, into `out` if given.
 
     numpy's reduction over a short last axis costs several times more than
     drawing the numbers. For fewer than eight interferers this gives the
     same bits as power.sum(axis=-1); from eight on numpy sums pairwise, so
     the two can differ in the last bit.
     """
+    if out is None:
+        out = np.empty(power.shape[:-1])
     if power.shape[-1] == 1:
-        return power[..., 0].copy()
-    total = power[..., 0] + power[..., 1]
+        out[...] = power[..., 0]
+        return out
+    np.add(power[..., 0], power[..., 1], out=out)
     for j in range(2, power.shape[-1]):
-        total += power[..., j]
-    return total
+        out += power[..., j]
+    return out
 
 
 def _interference_power(rng, count, antennas, interferers):
-    # the (count, antennas, interferers) exponentials, drawn and summed one
-    # row slice at a time; the fills are sequential, so the values are those
-    # of a single fill
+    # the (count, antennas, interferers) exponentials, summed in place; the
+    # fills are sequential, so the values are those of a single fill
     total = np.empty((count, antennas))
+    if interferers == 1:
+        return rng.standard_exponential(out=total)
+    # drawn one row slice at a time, so the slice stays in cache
     step = max(1, _SLICE // (antennas * interferers))
     for start in range(0, count, step):
         stop = min(start + step, count)
-        total[start:stop] = _sum_interferers(
-            rng.standard_exponential((stop - start, antennas, interferers)))
+        _sum_interferers(rng.standard_exponential((stop - start, antennas, interferers)),
+                         out=total[start:stop])
     return total
 
 
@@ -174,14 +186,26 @@ def draw_channels(cfg, rng, count):
 
 
 def select_antenna(desired_power, interference_power, rule):
-    """Index of the antenna each fading block keeps; ties go to the lowest index."""
+    """Index of the antenna each fading block keeps; ties go to the lowest index.
+
+    The rowwise argmax of the key: the desired power under max-signal, the
+    SIR under max-SIR, where 0/0 counts as zero SIR and x/0 as infinite. One
+    antenna needs no key and two need one comparison; numpy's argmax over a
+    short row costs several times more than either.
+    """
+    rows, antennas = desired_power.shape
+    if antennas == 1:
+        return np.zeros(rows, dtype=np.intp)
     if rule is SelectionRule.MAX_SIGNAL:
-        return np.argmax(desired_power, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = desired_power / interference_power
-    # 0/0 antennas cannot win; x/0 is +inf and wins as it should
-    ratio[np.isnan(ratio)] = 0.0
-    return np.argmax(ratio, axis=1)
+        key = desired_power
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            key = desired_power / interference_power
+        # 0/0 antennas cannot win; x/0 is +inf and wins as it should
+        key[np.isnan(key)] = 0.0
+    if antennas == 2:
+        return (key[:, 1] > key[:, 0]).astype(np.intp)
+    return np.argmax(key, axis=1)
 
 
 def _check_config(cfg):
@@ -279,13 +303,17 @@ def _collect(stream, rules, wanted, draw, per_block, reduce, failure, ahead=None
                 need = wanted - kept[rule]
                 # a zero or underflowed selected desired gain makes the value
                 # non-finite; such blocks are skipped and replaced by later ones
-                finite = np.flatnonzero(np.isfinite(values))
-                if finite.size >= need:
-                    rejected[rule] += int(finite[need - 1]) + 1 - need
-                    values = values[finite[:need]]
+                finite = np.isfinite(values)
+                if finite.all():
+                    values = values[:need]
                 else:
-                    rejected[rule] += values.size - finite.size
-                    values = values[finite]
+                    finite = np.flatnonzero(finite)
+                    if finite.size >= need:
+                        rejected[rule] += int(finite[need - 1]) + 1 - need
+                        values = values[finite[:need]]
+                    else:
+                        rejected[rule] += values.size - finite.size
+                        values = values[finite]
                 parts[rule].append(reduce(values))
                 kept[rule] += values.size
                 if rejected[rule] > 0.01 * wanted:
@@ -323,13 +351,17 @@ def estimate_evm_rules(cfg, rules, samples, seed=DEFAULT_SEED):
     def draw(rng):
         return draw_channels(cfg, rng, CHUNK)
 
+    # flat position of antenna 0 in each row of a (CHUNK, antennas) array
+    row_starts = np.arange(0, CHUNK * cfg.antennas, cfg.antennas)
+
     def per_block(powers, rule):
-        idx = select_antenna(powers.desired_power, powers.interference_power, rule)
-        rows = np.arange(CHUNK)
-        selected_desired = powers.desired_power[rows, idx]
-        selected_interference = powers.interference_power[rows, idx]
+        kept = select_antenna(powers.desired_power, powers.interference_power, rule)
+        kept += row_starts
+        values = np.take(powers.interference_power.reshape(-1), kept)
+        desired = np.take(powers.desired_power.reshape(-1), kept)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.sqrt(selected_interference / selected_desired)
+            np.divide(values, desired, out=values)
+            return np.sqrt(values, out=values)
 
     def reduce(values):
         return float(values.sum()), float(np.square(values).sum())

@@ -408,14 +408,20 @@ def test_verification_equals_per_rule_reference(monkeypatch):
     assert text(verify.run_verification(**args)) == shared
 
 
-# sliced draws: the row slices of _interference_power give the values of one
-# fill; the count is no multiple of any case's slice. Ids as for
-# SHARED_DRAW_CASES.
+# sliced draws: the row slices of _interference_power, summed in place, give
+# the values of one fill; the count is no multiple of any case's slice. The
+# first two ids are as for SHARED_DRAW_CASES. One interferer is drawn straight
+# into the interference array, nine are summed past numpy's pairwise limit.
 SLICED_COUNT = 50021
 SLICED_DRAW_CASES = [
     pytest.param(SystemConfig(4, 4, SelectionRule.MAX_SIR), id="cfg0-True"),
     pytest.param(SystemConfig(6, 2, SelectionRule.MAX_SIR, Fading.nakagami(0.5)),
                  id="cfg1-True"),
+] + [
+    pytest.param(SystemConfig(antennas, interferers, SelectionRule.MAX_SIR, fading),
+                 id=f"L{antennas}-M{interferers}-{fading.kind}")
+    for antennas in (1, 2, 6) for interferers in (1, 9)
+    for fading in (Fading.rayleigh(), Fading.nakagami(0.5))
 ]
 
 
@@ -435,12 +441,83 @@ def _one_shot_draw(cfg, rng, count):
 
 @pytest.mark.parametrize("cfg", SLICED_DRAW_CASES)
 def test_sliced_draw_equals_one_shot_fill(cfg):
-    rows_per_slice = simulate._SLICE // (cfg.antennas * cfg.interferers)
-    assert SLICED_COUNT > rows_per_slice and SLICED_COUNT % rows_per_slice
+    if cfg.interferers > 1:
+        rows_per_slice = simulate._SLICE // (cfg.antennas * cfg.interferers)
+        assert SLICED_COUNT > rows_per_slice and SLICED_COUNT % rows_per_slice
     draw = draw_channels(cfg, _chunk_rng(83, 2), SLICED_COUNT)
     desired, interference = _one_shot_draw(cfg, _chunk_rng(83, 2), SLICED_COUNT)
     assert np.array_equal(draw.desired_power, desired)
     assert np.array_equal(draw.interference_power, interference)
+
+
+# _serial_estimates below selects through select_antenna; these pin it and
+# the estimator's gather to numpy's argmax and two-dimensional indexing
+def _documented_key(desired, interference, rule):
+    # select_antenna's documented key, built without it: the desired power,
+    # or the SIR with 0/0 as zero and x/0 as +inf
+    if rule is SelectionRule.MAX_SIGNAL:
+        return desired
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sir = desired / interference
+    return np.where(np.isnan(sir), 0.0, sir)
+
+
+def _degenerate_draw(rng, count, antennas):
+    # small whole-number powers: most rows hold exact ties, 0/0, x/0 or a
+    # zero desired power; the first rows plant each case on its own
+    desired = rng.integers(0, 3, (count, antennas)).astype(float)
+    interference = rng.integers(0, 3, (count, antennas)).astype(float)
+    desired[0], interference[0] = 1.0, 1.0        # every antenna ties
+    desired[1], interference[1] = 0.0, 0.0        # every antenna 0/0
+    desired[2], interference[2] = 0.0, 1.0        # no desired power anywhere
+    desired[3], interference[3] = 2.0, 0.0        # x/0 on every antenna
+    desired[4], interference[4] = 1.0, 2.0
+    desired[4, -1], interference[4, 0] = 5.0, 0.0  # x/0 first, largest power last
+    return desired, interference
+
+
+@pytest.mark.parametrize("rule", BOTH_RULES)
+@pytest.mark.parametrize("antennas", range(1, 9))
+def test_selection_is_numpys_argmax_of_the_documented_key(antennas, rule):
+    rng = np.random.default_rng(antennas)
+    continuous = (rng.standard_exponential((20000, antennas)),
+                  rng.standard_exponential((20000, antennas)))
+    for desired, interference in (continuous, _degenerate_draw(rng, 20000, antennas)):
+        idx = select_antenna(desired, interference, rule)
+        assert idx.dtype == np.intp
+        assert np.array_equal(
+            idx, np.argmax(_documented_key(desired, interference, rule), axis=1))
+
+
+def _power_per_block(cfg, monkeypatch):
+    # the per-block function estimate_evm_rules hands to the chunk loop
+    captured = []
+    original = simulate._collect
+
+    def spy(stream, rules, wanted, draw, per_block, *args, **kwargs):
+        captured.append(per_block)
+        return original(stream, rules, wanted, draw, per_block, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_collect", spy)
+    estimate_evm_rules(cfg, BOTH_RULES, 2)
+    return captured[0]
+
+
+@pytest.mark.parametrize("antennas", range(1, 9))
+def test_flat_gather_equals_two_dimensional_indexing(monkeypatch, antennas):
+    cfg = SystemConfig(antennas, 2, SelectionRule.MAX_SIR)
+    per_block = _power_per_block(cfg, monkeypatch)
+    rng = np.random.default_rng(100 + antennas)
+    rows = np.arange(CHUNK)
+    draws = (draw_channels(cfg, rng, CHUNK),
+             simulate.ChannelDraw(*_degenerate_draw(rng, CHUNK, antennas)))
+    for draw in draws:
+        desired, interference = draw.desired_power, draw.interference_power
+        for rule in BOTH_RULES:
+            idx = np.argmax(_documented_key(desired, interference, rule), axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expected = np.sqrt(interference[rows, idx] / desired[rows, idx])
+            np.testing.assert_array_equal(per_block(draw, rule), expected)
 
 
 def _serial_estimates(cfg, rules, samples, seed):

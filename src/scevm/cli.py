@@ -148,8 +148,7 @@ def _cmd_eval(args):
     else:
         print(f"analytic evm: {exact:.15g} [{formula_name(cfg)}]")
     if args.mc:
-        estimate = estimate_evm(cfg, int(settings["samples"]),
-                                seed=int(settings["seed"]))
+        estimate = estimate_evm(cfg, int(settings["samples"]), seed=settings["seed"])
         line = (f"mc evm: {estimate.mean:.15g} +- {estimate.std_error:.3g} "
                 f"({estimate.samples} samples")
         if exact is not None and estimate.std_error > 0.0:

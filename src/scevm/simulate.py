@@ -46,6 +46,7 @@ rowwise argmax and two-dimensional indexing.
 import functools
 import hashlib
 import math
+import operator
 import queue
 import threading
 from dataclasses import dataclass
@@ -90,6 +91,21 @@ class EvmEstimate:
     rejected: int  # zero/underflowed-desired-power draws replaced by later ones
 
 
+def check_seed(seed):
+    """The seed as an int; Python and numpy integers pass, all else is a ConfigError.
+
+    int() would truncate 1.9 to seed 1 and take True for seed 1, silently
+    aliasing another stream; bool is an int subclass but not a seed, and a
+    float is refused even when whole.
+    """
+    if not isinstance(seed, (bool, np.bool_)):
+        try:
+            return operator.index(seed)
+        except TypeError:
+            pass
+    raise ConfigError(f"seed must be an integer, got {seed!r}")
+
+
 def derive_seed(base, *parts):
     """Derive a 64-bit child seed from a base seed and a label path.
 
@@ -97,7 +113,7 @@ def derive_seed(base, *parts):
     mapping is stable across runs and platforms.
     """
     h = hashlib.blake2s(digest_size=8)
-    h.update(str(int(base)).encode())
+    h.update(str(check_seed(base)).encode())
     for part in parts:
         h.update(b"/")
         h.update(str(part).encode())

@@ -1,10 +1,12 @@
 """Parameter sweeps comparing closed-form EVM against Monte Carlo.
 
-A sweep varies one axis of a base configuration, evaluates whichever
-closed form covers each point, runs the channel simulator at the same
-point with a seed derived from everything except the selection rule (so
-rule comparisons share channel draws), and reports one row per point with
-a z score. Rows serialize to CSV and to a gnuplot script for quick looks.
+A sweep varies one axis of a base configuration under one or more
+selection rules. At each point it evaluates whichever closed form covers
+each rule, and draws the channels once for all of the point's rules,
+with a seed derived from everything except the rule, so the rules are
+compared on identical channels. It reports one row per point and rule,
+with a z score. Rows serialize to CSV and to a gnuplot script for quick
+looks.
 """
 
 import dataclasses
@@ -19,7 +21,7 @@ from .model import (
     SelectionRule,
     SystemConfig,
 )
-from .simulate import DEFAULT_SEED, derive_seed, estimate_evm
+from .simulate import DEFAULT_SEED, check_seed, derive_seed, estimate_evm_rules
 
 SWEEP_AXES = ("L", "M", "m_d", "rho")
 CSV_HEADER = "L,M,rule,m_d,rho,analytic,mc_mean,mc_stderr,z_score,status"
@@ -31,13 +33,19 @@ STATUS_DIVERGED = "diverged"
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept curve: an axis, its values, and the fixed remainder."""
+    """Swept curves: an axis, its values, the fixed remainder, and the rules.
+
+    Each rule in `rules` gives one curve; all of them are estimated on the
+    same channel draws. `rules` defaults to (base.rule,); when it is given,
+    base.rule is ignored.
+    """
 
     axis: str
     values: tuple
     base: SystemConfig
     samples: int = 200000
     seed: int = DEFAULT_SEED
+    rules: tuple = None
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -52,6 +60,13 @@ class SweepSpec:
             raise ConfigError("base must be a SystemConfig")
         if not isinstance(self.samples, int) or self.samples < 2:
             raise ConfigError(f"samples must be an integer >= 2, got {self.samples!r}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        rules = (self.base.rule,) if self.rules is None else tuple(self.rules)
+        if (not rules or not all(isinstance(rule, SelectionRule) for rule in rules)
+                or len(set(rules)) != len(rules)):
+            raise ConfigError(f"rules must be distinct SelectionRules, at least one, "
+                              f"got {self.rules!r}")
+        object.__setattr__(self, "rules", rules)
 
 
 @dataclass(frozen=True)
@@ -73,9 +88,10 @@ class SweepRow:
 def cell_seed(seed, cfg):
     """Per-point seed that deliberately ignores the selection rule.
 
-    Sweeps and verification grids that differ only in the rule then see
-    identical channel draws, so rule-ordering comparisons hold draw by
-    draw instead of only in expectation.
+    Every rule of a sweep point or verification grid cell then sees the
+    same channel draws, so one estimate_evm_rules call serves them all,
+    and rule-ordering comparisons hold draw by draw instead of only in
+    expectation.
     """
     return derive_seed(seed, cfg.antennas, cfg.interferers,
                        cfg.fading.kind, cfg.fading.m, cfg.rho)
@@ -92,7 +108,7 @@ def _apply_axis(base, axis, value):
 
 
 def run_sweep(spec):
-    """Evaluate every point of a SweepSpec.
+    """Evaluate every point of a SweepSpec under each of its rules.
 
     Points whose configuration is invalid come back as `unsupported` with
     the swept coordinate filled in; points whose EVM is provably infinite
@@ -100,42 +116,53 @@ def run_sweep(spec):
     closed form, or whose route fails numerically (NumericalError, e.g. a
     tail past the double range just above the divergence boundary), stay
     `ok` with empty analytic and z columns, so the simulator still covers
-    them.
+    them. Coverage and divergence are decided per rule; the rules left to
+    simulate share one estimate_evm_rules call per point, which gives each
+    rule the bits of its own single-rule estimate.
+
+    Returns:
+        SweepRows, rule-major: every point of rules[0], then of rules[1], ...
     """
-    rows = []
+    rows = {rule: [] for rule in spec.rules}
     for value in spec.values:
         try:
-            cfg = _apply_axis(spec.base, spec.axis, value)
+            point = _apply_axis(spec.base, spec.axis, value)
         except (ConfigError, ValueError):
             placeholder = {"L": spec.base.antennas, "M": spec.base.interferers,
                            "m_d": spec.base.fading.m, "rho": spec.base.rho}
             placeholder[spec.axis] = value
-            rows.append(SweepRow(
-                antennas=placeholder["L"], interferers=placeholder["M"],
-                rule=spec.base.rule.value, shape=placeholder["m_d"],
-                rho=placeholder["rho"], status=STATUS_UNSUPPORTED))
+            for rule in spec.rules:
+                rows[rule].append(SweepRow(
+                    antennas=placeholder["L"], interferers=placeholder["M"],
+                    rule=rule.value, shape=placeholder["m_d"],
+                    rho=placeholder["rho"], status=STATUS_UNSUPPORTED))
             continue
-        status = STATUS_OK
-        exact = None
-        try:
-            exact = analytic_formula(cfg)
-        except DivergentMomentError:
-            status = STATUS_DIVERGED
-        except NumericalError:
-            pass
-        mc_mean = mc_stderr = z_score = None
-        if status != STATUS_DIVERGED:
-            estimate = estimate_evm(cfg, spec.samples, seed=cell_seed(spec.seed, cfg))
-            mc_mean, mc_stderr = estimate.mean, estimate.std_error
-            if exact is not None and mc_stderr > 0.0:
-                z_score = (mc_mean - exact) / mc_stderr
-        rows.append(SweepRow(
-            antennas=cfg.antennas, interferers=cfg.interferers,
-            rule=cfg.rule.value, shape=cfg.fading.m, rho=cfg.rho,
-            analytic=exact,
-            mc_mean=mc_mean, mc_stderr=mc_stderr, z_score=z_score,
-            status=status))
-    return rows
+        exact = {}  # every rule but the diverged ones
+        for rule in spec.rules:
+            try:
+                exact[rule] = analytic_formula(dataclasses.replace(point, rule=rule))
+            except DivergentMomentError:
+                pass
+            except NumericalError:
+                exact[rule] = None
+        estimates = {}
+        if exact:
+            estimates = estimate_evm_rules(point, tuple(exact), spec.samples,
+                                           seed=cell_seed(spec.seed, point))
+        for rule in spec.rules:
+            row = dict(antennas=point.antennas, interferers=point.interferers,
+                       rule=rule.value, shape=point.fading.m, rho=point.rho)
+            if rule not in estimates:
+                rows[rule].append(SweepRow(**row, status=STATUS_DIVERGED))
+                continue
+            estimate = estimates[rule]
+            z_score = None
+            if exact[rule] is not None and estimate.std_error > 0.0:
+                z_score = (estimate.mean - exact[rule]) / estimate.std_error
+            rows[rule].append(SweepRow(
+                **row, analytic=exact[rule], mc_mean=estimate.mean,
+                mc_stderr=estimate.std_error, z_score=z_score))
+    return [row for rule in spec.rules for row in rows[rule]]
 
 
 def _cell(value):
@@ -159,8 +186,8 @@ def emit_csv(rows):
 _AXIS_COLUMN = {"L": 1, "M": 2, "m_d": 4, "rho": 5}
 
 
-def _spec_label(spec):
-    parts = [spec.base.rule.value]
+def _curve_label(spec, rule):
+    parts = [rule.value]
     if spec.axis != "L" and spec.base.antennas != 2:
         parts.append(f"L={spec.base.antennas}")
     if spec.axis != "M":
@@ -175,8 +202,8 @@ def _spec_label(spec):
 def emit_plot_script(specs, csv_name="sweep.csv"):
     """Gnuplot commands for the CSV produced from `specs` by emit_csv.
 
-    Assumes the CSV concatenates the specs' rows in order. Each spec
-    becomes an analytic line plus Monte Carlo error bars.
+    Assumes the CSV concatenates the specs' rows in order. Each (spec,
+    rule) curve becomes an analytic line plus Monte Carlo error bars.
     """
     specs = list(specs)
     if not specs:
@@ -196,14 +223,14 @@ def emit_plot_script(specs, csv_name="sweep.csv"):
     clauses = []
     first_row = 1  # data line 0 is the header
     for spec in specs:
-        last_row = first_row + len(spec.values) - 1
-        label = _spec_label(spec)
-        span = f"every ::{first_row}::{last_row}"
-        clauses.append(f"  '{csv_name}' {span} using {column}:6 "
-                       f"with lines title '{label}'")
-        clauses.append(f"  '{csv_name}' {span} using {column}:7:8 "
-                       f"with yerrorbars notitle")
-        first_row = last_row + 1
+        for rule in spec.rules:
+            last_row = first_row + len(spec.values) - 1
+            span = f"every ::{first_row}::{last_row}"
+            clauses.append(f"  '{csv_name}' {span} using {column}:6 "
+                           f"with lines title '{_curve_label(spec, rule)}'")
+            clauses.append(f"  '{csv_name}' {span} using {column}:7:8 "
+                           f"with yerrorbars notitle")
+            first_row = last_row + 1
     lines.append(", \\\n".join(clauses))
     return "\n".join(lines) + "\n"
 
@@ -214,7 +241,7 @@ def preset(name, samples=200000, seed=DEFAULT_SEED):
     fig1: EVM against antenna count under max-SIR selection, two
         interferers, desired-channel shapes 0.5, 1, 2.
     fig2: EVM against antenna correlation for both rules, two antennas,
-        one interferer.
+        one interferer; one spec, so the rules share every draw.
     fig3: EVM against the desired-channel shape under max-signal
         selection, two antennas, 1, 2, and 4 interferers.
     """
@@ -227,9 +254,9 @@ def preset(name, samples=200000, seed=DEFAULT_SEED):
     if name == "fig2":
         rhos = (0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 0.95, 0.99)
         return [SweepSpec(axis="rho", values=rhos,
-                          base=SystemConfig(2, 1, rule),
-                          samples=samples, seed=seed)
-                for rule in (SelectionRule.MAX_SIR, SelectionRule.MAX_SIGNAL)]
+                          base=SystemConfig(2, 1, SelectionRule.MAX_SIR),
+                          samples=samples, seed=seed,
+                          rules=(SelectionRule.MAX_SIR, SelectionRule.MAX_SIGNAL))]
     if name == "fig3":
         shapes = (0.6, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0)
         return [SweepSpec(axis="m_d", values=shapes,

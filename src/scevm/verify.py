@@ -25,6 +25,7 @@ from .analytic import analytic_formula
 from .model import Fading, SelectionRule, SystemConfig
 from .simulate import (
     DEFAULT_SEED,
+    check_seed,
     derive_seed,
     estimate_evm,
     estimate_evm_rules,
@@ -311,6 +312,7 @@ def run_verification(samples=1000000, seed=DEFAULT_SEED, slots=2000, blocks=2000
         VerificationReport with all checks, the grid rows, and the
         overall pass flag.
     """
+    seed = check_seed(seed)  # before the checks that take no seed run
     checks = []
     checks.extend(anchor_checks())
     checks.extend(reduction_checks())

@@ -168,6 +168,16 @@ def test_config_file_rejects_boolean_counts(tmp_path, capsys):
     assert "antennas" in captured.err
 
 
+@pytest.mark.parametrize("seed", [1.9, True, "abc"])
+def test_config_file_rejects_a_seed_that_is_no_integer(tmp_path, capsys, seed):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": seed}))
+    assert main(["eval", "--config", str(path), "--mc", "--samples", "2000"]) == 1
+    captured = capsys.readouterr()
+    assert "mc evm" not in captured.out
+    assert "seed must be an integer" in captured.err
+
+
 def test_sweep_writes_csv_and_plot(tmp_path, capsys):
     out = tmp_path / "fig3.csv"
     code = main(["sweep", "--preset", "fig3", "--samples", "2000",

@@ -44,6 +44,28 @@ def test_derive_seed_separates_labels():
     assert len(seeds) == 6
 
 
+@pytest.mark.parametrize("seed", [1.9, 7.0, True, False, np.bool_(True), "7", "abc", None])
+def test_seeds_must_be_integers(seed):
+    # int() would alias 1.9 and True to seed 1, and "abc" raised ValueError
+    with pytest.raises(ConfigError):
+        estimate_evm(RAYLEIGH_21_SIR, 2000, seed=seed)
+    with pytest.raises(ConfigError):
+        estimate_evm_rules(RAYLEIGH_21_SIR, tuple(SelectionRule), 2000, seed=seed)
+    with pytest.raises(ConfigError):
+        estimate_evm_symbol_level(RAYLEIGH_21_SIR, slots=4, blocks=10, seed=seed)
+    with pytest.raises(ConfigError):
+        verify.run_verification(samples=2000, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7), np.int8(7)])
+def test_numpy_integer_seeds_give_the_int_stream(seed):
+    assert derive_seed(seed, "power") == derive_seed(7, "power")
+    assert estimate_evm(RAYLEIGH_21_SIR, 2000, seed=seed) == \
+        estimate_evm(RAYLEIGH_21_SIR, 2000, seed=7)
+    assert estimate_evm_symbol_level(RAYLEIGH_21_SIR, slots=4, blocks=10, seed=seed) == \
+        estimate_evm_symbol_level(RAYLEIGH_21_SIR, slots=4, blocks=10, seed=7)
+
+
 def test_estimate_is_deterministic():
     first = estimate_evm(RAYLEIGH_21_SIR, 100000, seed=3)
     second = estimate_evm(RAYLEIGH_21_SIR, 100000, seed=3)

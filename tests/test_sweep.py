@@ -1,14 +1,17 @@
 """Sweep construction, formula dispatch, CSV and plot emission."""
 
 import csv
+import dataclasses
+import hashlib
 import io
 import itertools
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from scevm import analytic
+from scevm import analytic, sweep
 from scevm.analytic import analytic_formula, formula_name
 from scevm.model import (
     ConfigError,
@@ -41,10 +44,31 @@ README = Path(__file__).resolve().parent.parent / "README.md"
     {"axis": "rule", "values": (1, 2), "base": BASE},
     {"axis": "L", "values": (1, 2), "base": BASE, "samples": 2.5},
     {"axis": "L", "values": (1, 2), "base": BASE, "samples": 1},
+    {"axis": "L", "values": (1, 2), "base": BASE, "seed": 7.5},
+    {"axis": "L", "values": (1, 2), "base": BASE, "seed": True},
+    {"axis": "L", "values": (1, 2), "base": BASE, "seed": "7"},
+    {"axis": "L", "values": (1, 2), "base": BASE, "rules": ()},
+    {"axis": "L", "values": (1, 2), "base": BASE, "rules": ("max_sir",)},
+    {"axis": "L", "values": (1, 2), "base": BASE, "rules": (SelectionRule.MAX_SIR, None)},
+    {"axis": "L", "values": (1, 2), "base": BASE,
+     "rules": (SelectionRule.MAX_SIR, SelectionRule.MAX_SIGNAL, SelectionRule.MAX_SIR)},
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ConfigError):
         SweepSpec(**kwargs)
+
+
+def test_spec_rules_default_to_the_base_rule():
+    spec = SweepSpec(axis="L", values=(1, 2), base=SystemConfig(2, 1, "max_signal"))
+    assert spec.rules == (SelectionRule.MAX_SIGNAL,)
+    both = SweepSpec(axis="L", values=(1, 2), base=BASE,
+                     rules=[SelectionRule.MAX_SIGNAL, SelectionRule.MAX_SIR])
+    assert both.rules == (SelectionRule.MAX_SIGNAL, SelectionRule.MAX_SIR)
+
+
+def test_spec_seed_accepts_numpy_integers():
+    spec = SweepSpec(axis="L", values=(1, 2), base=BASE, seed=np.int64(7))
+    assert spec.seed == 7 and type(spec.seed) is int
 
 
 def test_dispatch_total_over_config_space():
@@ -249,15 +273,79 @@ def test_run_sweep_past_the_signal_rule_gamma_overflow():
 
 
 def test_run_sweep_correlation_axis_both_rules_consistent():
-    rows = []
-    for rule in ("max_sir", "max_signal"):
-        spec = SweepSpec(axis="rho", values=(0.0, 0.2, 0.4, 0.6, 0.8),
-                         base=SystemConfig(2, 1, rule),
-                         samples=60000, seed=9)
-        rows.extend(run_sweep(spec))
+    spec = SweepSpec(axis="rho", values=(0.0, 0.2, 0.4, 0.6, 0.8), base=BASE,
+                     samples=60000, seed=9, rules=tuple(SelectionRule))
+    rows = run_sweep(spec)
     assert len(rows) == 10
     assert all(row.status == "ok" for row in rows)
     assert all(abs(row.z_score) <= 3.0 for row in rows)
+
+
+@pytest.mark.parametrize("axis, values, base", [
+    # 0.5 at M = 2 has a closed form for max-signal only; 1.5 is no correlation
+    ("rho", (0.0, 0.5, 1.0, 1.5), SystemConfig(2, 2, "max_sir")),
+    # 0.2 diverges; 0.505 has a route whose tail fails numerically
+    ("m_d", (0.2, 0.505, 0.6), SystemConfig(1, 2, "max_sir", Fading.nakagami(1.0))),
+], ids=["rho", "m_d"])
+@pytest.mark.parametrize("rules", [
+    (SelectionRule.MAX_SIR, SelectionRule.MAX_SIGNAL),
+    (SelectionRule.MAX_SIGNAL, SelectionRule.MAX_SIR),
+], ids=["sir-first", "signal-first"])
+def test_two_rule_spec_equals_the_single_rule_specs(axis, values, base, rules):
+    joint = run_sweep(SweepSpec(axis, values, base, samples=3000, seed=4, rules=rules))
+    single = []
+    for rule in rules:
+        one = SweepSpec(axis, values, dataclasses.replace(base, rule=rule), samples=3000, seed=4)
+        single.extend(run_sweep(one))
+    assert joint == single
+    statuses = {row.status for row in joint}
+    assert statuses == ({"ok", "unsupported"} if axis == "rho" else {"ok", "diverged"})
+    if axis == "rho":
+        # the two rules disagree on coverage at rho = 0.5
+        assert [row.analytic is None for row in joint if row.rho == 0.5] == \
+            [rule is SelectionRule.MAX_SIR for rule in rules]
+
+
+def test_two_rule_spec_draws_each_point_once(monkeypatch):
+    calls = []
+    original = sweep.estimate_evm_rules
+
+    def counting(cfg, rules, samples, seed):
+        calls.append(tuple(rules))
+        return original(cfg, rules, samples, seed=seed)
+
+    monkeypatch.setattr(sweep, "estimate_evm_rules", counting)
+    (spec,) = preset("fig2", samples=2000)
+    rows = run_sweep(spec)
+    assert len(rows) == 2 * len(spec.values)
+    assert calls == [(SelectionRule.MAX_SIR, SelectionRule.MAX_SIGNAL)] * len(spec.values)
+    # the rules share the divergence boundary, so a diverged point draws nothing
+    calls.clear()
+    run_sweep(SweepSpec("m_d", (0.2, 0.6), SystemConfig(1, 2, "max_sir", Fading.nakagami(1)),
+                        samples=2000, seed=1, rules=tuple(SelectionRule)))
+    assert calls == [(SelectionRule.MAX_SIR, SelectionRule.MAX_SIGNAL)]
+
+
+# fig2 at 2000 draws and seed 3, as written when each rule was its own spec
+# and drew its own channels; sharing the draws must keep every byte
+FIG2_CSV_SHA256 = "63e30b763eca1fbe7f66c51dd6fb2cf30bb4badb67f536128784158322e5705e"
+FIG2_PLOT = """set datafile separator ','
+set xlabel 'rho'
+set ylabel 'EVM'
+set key top left
+plot \\
+  'fig2.csv' every ::1::9 using 5:6 with lines title 'max_sir M=1', \\
+  'fig2.csv' every ::1::9 using 5:7:8 with yerrorbars notitle, \\
+  'fig2.csv' every ::10::18 using 5:6 with lines title 'max_signal M=1', \\
+  'fig2.csv' every ::10::18 using 5:7:8 with yerrorbars notitle
+"""
+
+
+def test_fig2_output_is_frozen():
+    specs = preset("fig2", samples=2000, seed=3)
+    text = emit_csv([row for spec in specs for row in run_sweep(spec)])
+    assert hashlib.sha256(text.encode()).hexdigest() == FIG2_CSV_SHA256
+    assert emit_plot_script(specs, csv_name="fig2.csv") == FIG2_PLOT
 
 
 def test_csv_header_and_round_trip():
@@ -296,7 +384,8 @@ def test_plot_script_structure():
     specs = preset("fig2", samples=2000)
     script = emit_plot_script(specs, csv_name="fig2.csv")
     assert "plot \\" in script
-    assert script.count("'fig2.csv'") == 2 * len(specs)
+    # a line and its error bars per (spec, rule) curve
+    assert script.count("'fig2.csv'") == 2 * sum(len(spec.rules) for spec in specs) == 4
     assert "using 5:6" in script  # rho is column 5
     with pytest.raises(ConfigError):
         emit_plot_script([])
@@ -310,8 +399,8 @@ def test_presets():
     fig1 = preset("fig1", samples=4000, seed=9)
     assert len(fig1) == 3 and all(s.axis == "L" for s in fig1)
     assert sorted(s.base.fading.m for s in fig1) == [0.5, 1.0, 2.0]
-    fig2 = preset("fig2")
-    assert len(fig2) == 2 and {s.base.rule for s in fig2} == set(SelectionRule)
+    (fig2,) = preset("fig2")
+    assert fig2.axis == "rho" and fig2.rules == tuple(SelectionRule)
     fig3 = preset("fig3")
     assert len(fig3) == 3 and all(s.axis == "m_d" for s in fig3)
     assert sorted(s.base.interferers for s in fig3) == [1, 2, 4]

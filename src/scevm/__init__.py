@@ -6,10 +6,7 @@ from .analytic import (
     evm_fully_correlated,
     evm_from_sir_cdf,
     evm_max_signal_correlated,
-    evm_max_signal_nakagami,
     evm_max_signal_rayleigh,
-    evm_max_sir_correlated,
-    evm_max_sir_nakagami,
     evm_max_sir_rayleigh,
     formula_name,
     sir_cdf_best_antenna,
@@ -60,10 +57,7 @@ __all__ = [
     "evm_fully_correlated",
     "evm_from_sir_cdf",
     "evm_max_signal_correlated",
-    "evm_max_signal_nakagami",
     "evm_max_signal_rayleigh",
-    "evm_max_sir_correlated",
-    "evm_max_sir_nakagami",
     "evm_max_sir_rayleigh",
     "formula_name",
     "preset",

@@ -8,11 +8,12 @@ the post-selection signal-to-interference ratio,
     EVM = E[sqrt(I' / g0')] = integral_0^inf F_SIR'(x^-2) dx,
 
 where F_SIR' is the CDF of the selected SIR. evm_from_sir_cdf evaluates
-that integral for either rule and every Nakagami L and M, and covers every
-configuration with independent antennas. The other public functions are
-the paper's closed forms and named special cases, one combination of
-selection rule, desired-channel fading law, and antenna correlation each;
-the Rayleigh alternating sums among them serve as independent references.
+that integral for either rule and every Nakagami L and M, and for a
+correlated pair with one interferer under max-SIR; the paper's Nakagami and
+correlated special cases are configurations of it. The other public
+functions each evaluate a formula the integral does not give: the
+correlated max-signal integral, the fully correlated constant, and the
+paper's Rayleigh alternating sums, which serve as independent references.
 Interferer channels are Rayleigh in every case. formula_name and
 analytic_formula, at the end, decide which function covers a configuration.
 """
@@ -134,10 +135,16 @@ def evm_from_sir_cdf(cfg):
     2 L m <= 1 (DivergentMomentError). Beyond x = 1 the substitution x = t^p
     with p = max(1, 1 / (2 L m - 1)) keeps that tail bounded; a tail too
     slow to end within the double range (2 L m below about 1.02) raises
-    NumericalError.
+    NumericalError. A correlated pair under max-signal, rho = 1 included,
+    is refused with UnsupportedDomainError.
     """
     if not isinstance(cfg, SystemConfig):
         raise UnsupportedDomainError("cfg must be a SystemConfig")
+    if cfg.rule is SelectionRule.MAX_SIGNAL and cfg.rho > 0.0:
+        raise UnsupportedDomainError(
+            "the defining integral covers max-signal selection with independent "
+            "antennas only; use evm_max_signal_correlated for a correlated pair "
+            "(evm_fully_correlated at rho = 1), or analytic_formula for any configuration")
     antennas, m = cfg.antennas, cfg.fading.m
     tail = 2.0 * antennas * m
     if tail <= 1.0:
@@ -146,7 +153,7 @@ def evm_from_sir_cdf(cfg):
             f"tail needs 2*antennas*m > 1")
     scale = 1.0
     cdf = lambda y: sir_cdf_best_antenna(y, cfg)
-    if cfg.rule is SelectionRule.MAX_SIGNAL and cfg.rho == 0.0:
+    if cfg.rule is SelectionRule.MAX_SIGNAL:
         scale = gamma_ratio(cfg.interferers + 0.5, cfg.interferers)
         cdf = lambda y: regularized_gamma_p(m, m * y) ** antennas
     p = max(1.0, 1.0 / (tail - 1.0))
@@ -224,76 +231,6 @@ def evm_max_signal_rayleigh(antennas, interferers):
         [math.comb(antennas - 1, n) / middle * math.sqrt(math.pi / (n + 1.0))
          for n in range(antennas)], antennas, interferers)
     return antennas * total * middle * gamma_ratio(interferers + 0.5, interferers)
-
-
-def evm_max_sir_nakagami(antennas, m):
-    """EVM under max-SIR selection, Nakagami-m desired channel, 2 interferers.
-
-    No closed form is usable here without analytic continuation machinery,
-    so this is evm_from_sir_cdf at M = 2.
-
-    Args:
-        antennas: number of antennas L >= 1.
-        m: Nakagami shape of the desired channel, > 0. The moment exists
-            only for 2 L m > 1.
-
-    Returns:
-        The EVM.
-
-    Raises:
-        DivergentMomentError: if 2 * antennas * m <= 1, where the defining
-            integral is infinite.
-    """
-    _validate_count("antennas", antennas)
-    if not (m > 0.0):
-        raise UnsupportedDomainError(f"shape m must be positive, got {m}")
-    return evm_from_sir_cdf(SystemConfig(antennas, 2, SelectionRule.MAX_SIR,
-                                         Fading.nakagami(m)))
-
-
-def evm_max_signal_nakagami(m, interferers):
-    """EVM under max-signal-power selection, Nakagami-m desired, 2 antennas.
-
-    The paper's closed form for m > 1/2 runs through a Gauss 2F1 at -1;
-    this is evm_from_sir_cdf at L = 2, which also covers 1/4 < m <= 1/2
-    and shapes whose gamma ratios overflow a double.
-
-    Args:
-        m: Nakagami shape of the desired channel, > 0.
-        interferers: number of interferers M >= 1.
-
-    Returns:
-        The EVM.
-
-    Raises:
-        DivergentMomentError: for m <= 1/4, where 2 L m <= 1.
-    """
-    _validate_count("interferers", interferers)
-    if not (m > 0.0):
-        raise UnsupportedDomainError(f"shape m must be positive, got {m}")
-    return evm_from_sir_cdf(SystemConfig(2, interferers, SelectionRule.MAX_SIGNAL,
-                                         Fading.nakagami(m)))
-
-
-def evm_max_sir_correlated(rho):
-    """EVM under max-SIR selection, two correlated Rayleigh antennas, 1 interferer.
-
-    Integrates the two-branch correlated selected-SIR CDF composed with
-    x^-2. Correlation applies to the desired pair and to the interferer
-    pair alike, with the same coefficient.
-
-    Args:
-        rho: correlation coefficient of the complex channel gains, in [0, 1).
-            For rho = 1 use evm_fully_correlated, where selection is moot.
-
-    Returns:
-        The EVM.
-    """
-    if not (0.0 <= rho < 1.0):
-        raise UnsupportedDomainError(
-            f"rho must lie in [0, 1), got {rho}; use evm_fully_correlated at rho = 1")
-    return evm_from_sir_cdf(SystemConfig(antennas=2, interferers=1,
-                                         rule=SelectionRule.MAX_SIR, rho=rho))
 
 
 def evm_max_signal_correlated(rho, interferers):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .analytic import analytic_formula, formula_name
 from .model import ConfigError, Fading, NumericalError, SelectionRule, SystemConfig
-from .simulate import DEFAULT_SEED, estimate_evm
+from .simulate import DEFAULT_SEED, check_seed, estimate_evm
 from .sweep import emit_csv, emit_plot_script, preset, run_sweep
 from .verify import run_verification
 
@@ -106,6 +106,14 @@ def _resolve_eval_settings(args):
     return settings
 
 
+def _number(settings, key):
+    # a config file's value as given: float() would read true as 1 and "0.5" as 0.5
+    value = settings[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _system_config(settings):
     rule_token = str(settings["rule"]).replace("-", "_")
     try:
@@ -115,7 +123,7 @@ def _system_config(settings):
             f"unknown rule {settings['rule']!r}; "
             f"choose max-sir or max-signal") from None
     kind = settings["fading"]
-    shape = float(settings["md"])
+    shape = _number(settings, "md")
     if kind == "rayleigh":
         if shape != 1.0:
             raise ConfigError("md is a nakagami parameter; rayleigh fixes it at 1")
@@ -125,7 +133,7 @@ def _system_config(settings):
     else:
         raise ConfigError(f"unknown fading {kind!r}; choose rayleigh or nakagami")
     return SystemConfig(settings["L"], settings["M"], rule, fading,
-                        float(settings["rho"]))
+                        _number(settings, "rho"))
 
 
 def _exact_text(x):
@@ -137,6 +145,7 @@ def _exact_text(x):
 def _cmd_eval(args):
     settings = _resolve_eval_settings(args)
     cfg = _system_config(settings)
+    seed = check_seed(settings["seed"])
     exact = analytic_formula(cfg)
     print(f"L={cfg.antennas} M={cfg.interferers} rule={cfg.rule.value} "
           f"fading={cfg.fading.kind} m={_exact_text(cfg.fading.m)} rho={_exact_text(cfg.rho)}")
@@ -148,7 +157,7 @@ def _cmd_eval(args):
     else:
         print(f"analytic evm: {exact:.15g} [{formula_name(cfg)}]")
     if args.mc:
-        estimate = estimate_evm(cfg, int(settings["samples"]), seed=settings["seed"])
+        estimate = estimate_evm(cfg, settings["samples"], seed=seed)
         line = (f"mc evm: {estimate.mean:.15g} +- {estimate.std_error:.3g} "
                 f"({estimate.samples} samples")
         if exact is not None and estimate.std_error > 0.0:

@@ -100,16 +100,18 @@ def reduction_checks():
     for antennas in (1, 2, 3, 4):
         checks.append(_close(
             f"reduction nakagami-sir m=1 L={antennas}",
-            analytic.evm_max_sir_nakagami(antennas, 1.0),
+            analytic_formula(SystemConfig(antennas, 2, SelectionRule.MAX_SIR,
+                                          Fading.nakagami(1.0))),
             analytic.evm_max_sir_rayleigh(antennas, 2), 1e-6))
     for interferers in (1, 2, 4):
         checks.append(_close(
             f"reduction nakagami-signal m=1 M={interferers}",
-            analytic.evm_max_signal_nakagami(1.0, interferers),
+            analytic_formula(SystemConfig(2, interferers, SelectionRule.MAX_SIGNAL,
+                                          Fading.nakagami(1.0))),
             analytic.evm_max_signal_rayleigh(2, interferers), 1e-8))
     checks.append(_close(
         "reduction correlated-sir rho=0",
-        analytic.evm_max_sir_correlated(0.0),
+        analytic_formula(SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.0)),
         analytic.evm_max_sir_rayleigh(2, 1), 1e-6))
     for interferers in (1, 2, 4):
         checks.append(_close(
@@ -149,25 +151,29 @@ def monotonicity_checks():
             "increasing"))
     checks.append(_strict(
         "monotone nakagami-sir antennas m=0.8",
-        [analytic.evm_max_sir_nakagami(l, 0.8) for l in range(1, 5)],
+        [analytic_formula(SystemConfig(l, 2, SelectionRule.MAX_SIR, Fading.nakagami(0.8)))
+         for l in range(1, 5)],
         "decreasing"))
     checks.append(_strict(
         "monotone nakagami-sir shape L=2",
-        [analytic.evm_max_sir_nakagami(2, m) for m in (0.5, 0.75, 1.0, 1.5, 2.0, 3.0)],
+        [analytic_formula(SystemConfig(2, 2, SelectionRule.MAX_SIR, Fading.nakagami(m)))
+         for m in (0.5, 0.75, 1.0, 1.5, 2.0, 3.0)],
         "decreasing"))
     checks.append(_strict(
         "monotone nakagami-signal shape M=1",
-        [analytic.evm_max_signal_nakagami(m, 1)
+        [analytic_formula(SystemConfig(2, 1, SelectionRule.MAX_SIGNAL, Fading.nakagami(m)))
          for m in (0.6, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0)],
         "decreasing"))
     checks.append(_strict(
         "monotone nakagami-signal interferers m=1.5",
-        [analytic.evm_max_signal_nakagami(1.5, m) for m in range(1, 5)],
+        [analytic_formula(SystemConfig(2, m, SelectionRule.MAX_SIGNAL, Fading.nakagami(1.5)))
+         for m in range(1, 5)],
         "increasing"))
     rhos = (0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 0.95, 0.99)
     checks.append(_strict(
         "monotone correlated-sir rho",
-        [analytic.evm_max_sir_correlated(r) for r in rhos], "increasing"))
+        [analytic_formula(SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=r)) for r in rhos],
+        "increasing"))
     checks.append(_strict(
         "monotone correlated-signal rho M=1",
         [analytic.evm_max_signal_correlated(r, 1) for r in rhos], "increasing"))

@@ -4,6 +4,7 @@ Run with -v for the per-criterion verdict lines; each test also prints a
 [PASS]/[FAIL] line with the measured numbers.
 """
 
+import hashlib
 import math
 import time
 
@@ -15,8 +16,12 @@ from scevm.quadrature import integrate_semi_infinite
 from scevm.simulate import estimate_evm_symbol_level_rules
 from scevm.sweep import emit_csv
 from scevm.verify import (
+    anchor_checks,
+    asymptotic_checks,
     mc_grid,
     monotonicity_checks,
+    quadrature_identity_checks,
+    reduction_checks,
     rule_ordering_checks,
     run_verification,
 )
@@ -83,14 +88,17 @@ def test_reduction_web():
     start = time.perf_counter()
     gaps = []
     for antennas in (1, 2, 3, 4):
-        gaps.append((abs(analytic.evm_max_sir_nakagami(antennas, 1.0)
+        cfg = SystemConfig(antennas, 2, SelectionRule.MAX_SIR, Fading.nakagami(1.0))
+        gaps.append((abs(analytic.analytic_formula(cfg)
                          - analytic.evm_max_sir_rayleigh(antennas, 2)), 1e-6))
     for interferers in (1, 2, 4):
-        gaps.append((abs(analytic.evm_max_signal_nakagami(1.0, interferers)
+        cfg = SystemConfig(2, interferers, SelectionRule.MAX_SIGNAL, Fading.nakagami(1.0))
+        gaps.append((abs(analytic.analytic_formula(cfg)
                          - analytic.evm_max_signal_rayleigh(2, interferers)), 1e-8))
         gaps.append((abs(analytic.evm_max_signal_correlated(0.0, interferers)
                          - analytic.evm_max_signal_rayleigh(2, interferers)), 1e-6))
-    gaps.append((abs(analytic.evm_max_sir_correlated(0.0)
+    cfg = SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.0)
+    gaps.append((abs(analytic.analytic_formula(cfg)
                      - analytic.evm_max_sir_rayleigh(2, 1)), 1e-6))
     elapsed = time.perf_counter() - start
     ok = all(gap <= tol for gap, tol in gaps) and elapsed < 10.0
@@ -177,3 +185,22 @@ def test_verification_rerun_is_byte_identical():
             "verification determinism",
             f"two runs at the same seed produced byte-identical CSV "
             f"({len(first.rows)} rows) and both passed")
+
+
+# SHA-256 of the "name | detail" lines of the analytic verification checks,
+# as `scevm verify` prints them. The details carry every value to 9 to 12
+# digits and every error to 3, so a change of route or of quadrature shows
+# here; a change that moves these lines on purpose recomputes the hash.
+ANALYTIC_CHECKS_SHA256 = "57894fa309198525caa47188a1377a064e0f2a1d4e94bd966c12d4e68fb6f05b"
+
+
+def test_analytic_verification_output_is_frozen():
+    checks = [check for family in (anchor_checks, reduction_checks,
+                                   quadrature_identity_checks, monotonicity_checks,
+                                   rule_ordering_checks, asymptotic_checks)
+              for check in family()]
+    text = "".join(f"{check.name} | {check.detail}\n" for check in checks)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    _report(len(checks) == 63 and digest == ANALYTIC_CHECKS_SHA256,
+            "analytic verification output",
+            f"{len(checks)} check lines, sha256 {digest[:16]}...")

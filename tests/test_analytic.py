@@ -131,19 +131,37 @@ def test_max_signal_rayleigh_frozen(args, want):
     assert analytic.evm_max_signal_rayleigh(*args) == pytest.approx(want, rel=1e-13)
 
 
+def _sir_nakagami_cfg(antennas, m):
+    # the paper's Nakagami max-SIR case: two interferers
+    return SystemConfig(antennas, 2, SelectionRule.MAX_SIR, Fading.nakagami(m))
+
+
+def _signal_nakagami_cfg(m, interferers):
+    # the paper's Nakagami max-signal case: two antennas
+    return SystemConfig(2, interferers, SelectionRule.MAX_SIGNAL, Fading.nakagami(m))
+
+
+def _sir_correlated_cfg(rho):
+    # the paper's correlated max-SIR case: a pair and one interferer
+    return SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=rho)
+
+
 @pytest.mark.parametrize("args,want", sorted(MAX_SIR_NAKAGAMI.items()))
 def test_max_sir_nakagami_frozen(args, want):
-    assert analytic.evm_max_sir_nakagami(*args) == pytest.approx(want, abs=1e-9)
+    assert analytic.analytic_formula(_sir_nakagami_cfg(*args)) == pytest.approx(
+        want, abs=1e-9)
 
 
 @pytest.mark.parametrize("args,want", sorted(MAX_SIGNAL_NAKAGAMI.items()))
 def test_max_signal_nakagami_frozen(args, want):
-    assert analytic.evm_max_signal_nakagami(*args) == pytest.approx(want, rel=1e-10)
+    assert analytic.analytic_formula(_signal_nakagami_cfg(*args)) == pytest.approx(
+        want, rel=1e-10)
 
 
 @pytest.mark.parametrize("rho,want", sorted(MAX_SIR_CORRELATED.items()))
 def test_max_sir_correlated_frozen(rho, want):
-    assert analytic.evm_max_sir_correlated(rho) == pytest.approx(want, abs=1e-9)
+    assert analytic.analytic_formula(_sir_correlated_cfg(rho)) == pytest.approx(
+        want, abs=1e-9)
 
 
 @pytest.mark.parametrize("args,want", sorted(MAX_SIGNAL_CORRELATED.items()))
@@ -215,14 +233,15 @@ def test_exact_anchor_constants():
 
 def test_reductions_between_families():
     for antennas in (1, 2, 3, 4):
-        assert analytic.evm_max_sir_nakagami(antennas, 1.0) == pytest.approx(
+        assert analytic.analytic_formula(_sir_nakagami_cfg(antennas, 1.0)) == pytest.approx(
             analytic.evm_max_sir_rayleigh(antennas, 2), abs=1e-6)
     for interferers in (1, 2, 4):
-        assert analytic.evm_max_signal_nakagami(1.0, interferers) == pytest.approx(
+        signal = analytic.analytic_formula(_signal_nakagami_cfg(1.0, interferers))
+        assert signal == pytest.approx(
             analytic.evm_max_signal_rayleigh(2, interferers), abs=1e-8)
         assert analytic.evm_max_signal_correlated(0.0, interferers) == pytest.approx(
             analytic.evm_max_signal_rayleigh(2, interferers), abs=1e-6)
-    assert analytic.evm_max_sir_correlated(0.0) == pytest.approx(
+    assert analytic.analytic_formula(_sir_correlated_cfg(0.0)) == pytest.approx(
         analytic.evm_max_sir_rayleigh(2, 1), abs=1e-6)
 
 
@@ -230,17 +249,17 @@ def test_correlation_approaches_no_selection_limit():
     # as rho -> 1 both correlated results climb toward the single-antenna
     # value; convergence is sqrt(1-rho^2)-slow, so even 0.99 sits well away
     single = analytic.evm_fully_correlated(1)
-    sir_gap = abs(analytic.evm_max_sir_correlated(0.9999) / single - 1.0)
+    sir_gap = abs(analytic.analytic_formula(_sir_correlated_cfg(0.9999)) / single - 1.0)
     signal_gap = abs(analytic.evm_max_signal_correlated(0.9999, 1) / single - 1.0)
     assert sir_gap < 0.03
     assert signal_gap < 0.03
-    assert abs(analytic.evm_max_sir_correlated(0.99) / single - 1.0) > 0.10
+    assert abs(analytic.analytic_formula(_sir_correlated_cfg(0.99)) / single - 1.0) > 0.10
 
 
 @pytest.mark.parametrize("antennas,m", [(1, 0.5), (1, 0.2), (2, 0.25), (3, 1.0 / 6.0)])
 def test_sir_divergence_boundary(antennas, m):
     with pytest.raises(DivergentMomentError):
-        analytic.evm_max_sir_nakagami(antennas, m)
+        analytic.analytic_formula(_sir_nakagami_cfg(antennas, m))
 
 
 @pytest.mark.parametrize("m", [0.25, 0.1])
@@ -248,7 +267,7 @@ def test_signal_divergence_boundary(m):
     # the larger of two Gamma(m) powers has a CDF like x^(2m) near 0, so
     # its half-inverse moment is infinite exactly for 4 m <= 1
     with pytest.raises(DivergentMomentError):
-        analytic.evm_max_signal_nakagami(m, 1)
+        analytic.analytic_formula(_signal_nakagami_cfg(m, 1))
 
 
 @pytest.mark.parametrize("rule", list(SelectionRule))
@@ -359,10 +378,6 @@ def test_alternating_sums_keep_their_digits_or_raise(args, want):
     lambda: analytic.evm_max_sir_rayleigh(0, 1),
     lambda: analytic.evm_max_sir_rayleigh(2, 0),
     lambda: analytic.evm_max_signal_rayleigh(-1, 1),
-    lambda: analytic.evm_max_sir_nakagami(2, 0.0),
-    lambda: analytic.evm_max_signal_nakagami(2.0, 0),
-    lambda: analytic.evm_max_sir_correlated(-0.1),
-    lambda: analytic.evm_max_sir_correlated(1.0),
     lambda: analytic.evm_max_signal_correlated(1.0, 2),
     lambda: analytic.evm_fully_correlated(0),
     lambda: analytic.evm_max_sir_rayleigh(True, True),
@@ -371,10 +386,24 @@ def test_alternating_sums_keep_their_digits_or_raise(args, want):
     lambda: analytic.evm_from_sir_cdf("not a config"),
     lambda: analytic.sir_cdf_single_antenna(0.5, 2, "rayleigh"),
     lambda: analytic.analytic_formula("not a config"),
+    lambda: analytic.evm_max_signal_correlated(-0.1, 1),
+    lambda: analytic.evm_max_signal_correlated(0.5, 0),
+    lambda: analytic.sir_cdf_single_antenna(-1.0, 1, Fading.rayleigh()),
+    lambda: analytic.evm_from_sir_cdf(SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.5)),
 ])
 def test_domain_validation(call):
     with pytest.raises(UnsupportedDomainError):
         call()
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.999999999, 1.0])
+@pytest.mark.parametrize("route", ["evm_max_signal_correlated", "analytic_formula"])
+def test_defining_integral_names_the_routes_of_correlated_max_signal(rho, route):
+    # max-signal selection of a correlated pair is no CDF of the selected
+    # SIR, so the integral refuses it and names what covers it
+    cfg = SystemConfig(2, 3, SelectionRule.MAX_SIGNAL, rho=rho)
+    with pytest.raises(UnsupportedDomainError, match=route):
+        analytic.evm_from_sir_cdf(cfg)
 
 
 def test_single_antenna_cdf_rayleigh():
@@ -482,13 +511,15 @@ def test_signal_rule_closed_form_at_large_shape(m):
     # (m above about 515), against the scipy oracle
     want = quad_oracle(SelectionRule.MAX_SIGNAL, 2, 2, m)
     assert want is not None
-    assert analytic.evm_max_signal_nakagami(m, 2) == pytest.approx(want, rel=1e-9)
+    assert analytic.analytic_formula(_signal_nakagami_cfg(m, 2)) == pytest.approx(
+        want, rel=1e-9)
 
 
 @pytest.mark.parametrize("interferers", [1, 3])
 def test_signal_rule_at_huge_shape_reaches_the_deterministic_limit(interferers):
     # m y overflows to inf in the defining integral; P(m, inf) = 1 there
-    assert analytic.evm_max_signal_nakagami(1e305, interferers) == pytest.approx(
+    got = analytic.analytic_formula(_signal_nakagami_cfg(1e305, interferers))
+    assert got == pytest.approx(
         _interferer_moment(interferers), rel=1e-12)
 
 
@@ -523,9 +554,9 @@ def test_monotone_in_each_parameter():
     assert all(b < a for a, b in zip(sir_in_l, sir_in_l[1:]))
     signal_in_m = [analytic.evm_max_signal_rayleigh(2, m) for m in range(1, 6)]
     assert all(b > a for a, b in zip(signal_in_m, signal_in_m[1:]))
-    in_shape = [analytic.evm_max_signal_nakagami(m, 1)
+    in_shape = [analytic.analytic_formula(_signal_nakagami_cfg(m, 1))
                 for m in (0.6, 0.8, 1.0, 1.5, 2.0, 4.0)]
     assert all(b < a for a, b in zip(in_shape, in_shape[1:]))
-    in_rho = [analytic.evm_max_sir_correlated(r)
+    in_rho = [analytic.analytic_formula(_sir_correlated_cfg(r))
               for r in (0.0, 0.2, 0.4, 0.6, 0.8, 0.95)]
     assert all(b > a for a, b in zip(in_rho, in_rho[1:]))

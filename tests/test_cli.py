@@ -7,6 +7,7 @@ import re
 import pytest
 
 from scevm.cli import main
+from scevm.model import Fading, SelectionRule, SystemConfig
 
 ANALYTIC_LINE = re.compile(r"analytic evm: ([0-9.eE+-]+)")
 
@@ -46,7 +47,8 @@ def test_eval_every_flag(capsys):
         "--fading", "nakagami", "--md", "2", "--rho", "0"])
     assert code == 0
     from scevm import analytic
-    assert value == pytest.approx(analytic.evm_max_sir_nakagami(2, 2.0), rel=1e-9)
+    cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR, Fading.nakagami(2.0))
+    assert value == pytest.approx(analytic.analytic_formula(cfg), rel=1e-9)
     assert "fading=nakagami m=2" in out
     assert "[evm_from_sir_cdf]" in out
 
@@ -55,7 +57,8 @@ def test_eval_correlated(capsys):
     code, value, _ = _eval_value(capsys, ["eval", "--rho", "0.6"])
     assert code == 0
     from scevm import analytic
-    assert value == pytest.approx(analytic.evm_max_sir_correlated(0.6), rel=1e-9)
+    cfg = SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.6)
+    assert value == pytest.approx(analytic.analytic_formula(cfg), rel=1e-9)
 
 
 @pytest.mark.parametrize("rho", [0.999999999, math.nextafter(1.0, 0.0)])
@@ -174,8 +177,28 @@ def test_config_file_rejects_a_seed_that_is_no_integer(tmp_path, capsys, seed):
     path.write_text(json.dumps({"seed": seed}))
     assert main(["eval", "--config", str(path), "--mc", "--samples", "2000"]) == 1
     captured = capsys.readouterr()
+    assert "analytic evm" not in captured.out
     assert "mc evm" not in captured.out
     assert "seed must be an integer" in captured.err
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"samples": 2000.7}, "samples must be an integer"),
+    ({"samples": "2000"}, "samples must be an integer"),
+    ({"fading": "nakagami", "md": True}, "md must be a number"),
+    ({"fading": "nakagami", "md": "2"}, "md must be a number"),
+    ({"rho": True}, "rho must be a number"),
+    ({"rho": "0.5"}, "rho must be a number"),
+    ({"seed": 1.5}, "seed must be an integer"),
+])
+def test_config_file_values_are_not_coerced(tmp_path, capsys, settings, message):
+    # int() and float() would run 2000 draws for 2000.7, and read true as 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(settings))
+    assert main(["eval", "--config", str(path), "--mc"]) == 1
+    captured = capsys.readouterr()
+    assert "mc evm" not in captured.out
+    assert message in captured.err
 
 
 def test_sweep_writes_csv_and_plot(tmp_path, capsys):

@@ -59,7 +59,7 @@ def test_max_signal_correlated_is_bounded_and_cheap(rho, interferers):
 @example(rho=0.0)
 @example(rho=LAST_RHO)
 def test_max_sir_correlated_is_bounded(rho):
-    evm = analytic.evm_max_sir_correlated(rho)
+    evm = analytic.analytic_formula(SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=rho))
     assert math.isfinite(evm)
     lower = analytic.evm_max_sir_rayleigh(2, 1)
     assert lower * (1.0 - SLACK) <= evm <= 0.5 * math.pi * (1.0 + SLACK)

@@ -195,7 +195,7 @@ def test_interferer_correlation_is_part_of_the_model():
     # model interpretation
     rho = 0.9
     cfg = SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=rho)
-    exact = analytic.evm_max_sir_correlated(rho)
+    exact = analytic.analytic_formula(cfg)
     coupled = estimate_evm(cfg, 500000, seed=31)
     assert abs((coupled.mean - exact) / coupled.std_error) < 4.0
     count = 500000
@@ -255,10 +255,9 @@ def test_symbol_level_multiple_interferers():
 
 def test_symbol_level_correlated_antennas():
     # the waveform path draws the coupled pairs the correlated closed forms assume
-    for cfg, exact in ((SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.6),
-                        analytic.evm_max_sir_correlated(0.6)),
-                       (SystemConfig(2, 2, SelectionRule.MAX_SIGNAL, rho=0.6),
-                        analytic.evm_max_signal_correlated(0.6, 2))):
+    for cfg in (SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.6),
+                SystemConfig(2, 2, SelectionRule.MAX_SIGNAL, rho=0.6)):
+        exact = analytic.analytic_formula(cfg)
         estimate = estimate_evm_symbol_level(cfg, slots=500, blocks=4000, seed=61)
         z = (estimate.mean - exact) / estimate.std_error
         assert abs(z) < 4.0, (cfg, z)

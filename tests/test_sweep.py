@@ -100,8 +100,8 @@ def test_dispatch_total_over_config_space():
 def test_dispatch_routes():
     assert analytic_formula(SystemConfig(2, 3, "max_sir", rho=1.0)) == pytest.approx(
         analytic.evm_fully_correlated(3), rel=1e-13)
-    assert analytic_formula(SystemConfig(2, 1, "max_sir", rho=0.5)) == pytest.approx(
-        analytic.evm_max_sir_correlated(0.5), rel=1e-13)
+    cfg = SystemConfig(2, 1, "max_sir", rho=0.5)
+    assert analytic_formula(cfg) == pytest.approx(analytic.evm_from_sir_cdf(cfg), rel=1e-13)
     assert analytic_formula(SystemConfig(2, 2, "max_sir", rho=0.5)) is None
     assert analytic_formula(
         SystemConfig(2, 3, "max_signal", rho=0.5)) == pytest.approx(
@@ -115,13 +115,11 @@ def test_dispatch_routes():
     for cfg in (SystemConfig(3, 3, "max_sir", Fading.nakagami(2.0)),
                 SystemConfig(3, 2, "max_signal", Fading.nakagami(2.0)),
                 SystemConfig(3, 3, "max_sir"),
-                SystemConfig(2, 2, "max_signal", Fading.nakagami(2.0))):
+                SystemConfig(2, 2, "max_signal", Fading.nakagami(2.0)),
+                SystemConfig(2, 2, "max_sir", Fading.nakagami(2.0))):
         assert analytic_formula(cfg) == pytest.approx(
             analytic.evm_from_sir_cdf(cfg), rel=1e-13)
     assert analytic_formula(SystemConfig(2, 3, "max_sir", rho=0.5)) is None
-    assert analytic_formula(
-        SystemConfig(2, 2, "max_sir", Fading.nakagami(2.0))) == pytest.approx(
-        analytic.evm_max_sir_nakagami(2, 2.0), rel=1e-12)
 
 
 def test_formula_name_matches_route():
@@ -159,25 +157,20 @@ def test_readme_coverage_table_names_every_route():
     assert listed == routed
 
 
-def test_wrappers_of_the_defining_integral_are_not_routes():
-    # the wrappers only call evm_from_sir_cdf on the same configuration,
-    # so routing to it directly gives the same bits
-    for antennas in (1, 2, 3):
-        cfg = SystemConfig(antennas, 2, "max_sir", Fading.nakagami(2.0))
-        assert formula_name(cfg) == "evm_from_sir_cdf"
-        assert analytic_formula(cfg) == analytic.evm_max_sir_nakagami(antennas, 2.0)
-    cfg = SystemConfig(2, 1, "max_sir", rho=0.5)
-    assert formula_name(cfg) == "evm_from_sir_cdf"
-    assert analytic_formula(cfg) == analytic.evm_max_sir_correlated(0.5)
-    for m in (0.6, 2.0, 1000.0):
-        cfg = SystemConfig(2, 3, "max_signal", Fading.nakagami(m))
-        assert formula_name(cfg) == "evm_from_sir_cdf"
-        assert analytic_formula(cfg) == analytic.evm_max_signal_nakagami(m, 3)
+def test_rayleigh_and_nakagami_configurations_route_to_the_defining_integral():
+    # the paper's Nakagami cases (max-SIR at M = 2, max-signal at L = 2) and
+    # its correlated max-SIR case (M = 1) are configurations of the integral,
+    # and the route returns its bits unchanged
+    configs = [SystemConfig(antennas, 2, "max_sir", Fading.nakagami(2.0))
+               for antennas in (1, 2, 3)]
+    configs += [SystemConfig(2, 3, "max_signal", Fading.nakagami(m))
+                for m in (0.6, 2.0, 1000.0)]
+    configs.append(SystemConfig(2, 1, "max_sir", rho=0.5))
     # Rayleigh is shape 1, and the alternating sums are references, not routes
-    cfg = SystemConfig(2, 3, "max_signal")
-    assert formula_name(cfg) == "evm_from_sir_cdf"
-    assert analytic_formula(cfg) == analytic.evm_max_signal_nakagami(1.0, 3)
-    assert analytic_formula(cfg) == analytic.evm_from_sir_cdf(cfg)
+    configs.append(SystemConfig(2, 3, "max_signal"))
+    for cfg in configs:
+        assert formula_name(cfg) == "evm_from_sir_cdf"
+        assert analytic_formula(cfg) == analytic.evm_from_sir_cdf(cfg)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -211,7 +204,8 @@ def test_run_sweep_statuses():
     assert [row.status for row in rows] == ["diverged", "ok", "ok"]
     assert rows[0].mc_mean is None and rows[0].analytic is None
     assert rows[1].analytic == pytest.approx(
-        analytic.evm_max_signal_nakagami(0.6, 1), rel=1e-12)
+        analytic.evm_from_sir_cdf(dataclasses.replace(spec.base, fading=Fading.nakagami(0.6))),
+        rel=1e-12)
     assert rows[1].z_score is not None
 
 

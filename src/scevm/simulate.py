@@ -21,21 +21,26 @@ bit-for-bit the one its single-rule estimator gives. Interferer powers are
 summed per antenna in interferer index order, which can differ from numpy's
 pairwise `sum` in the last bit for eight or more interferers.
 
-The power-level estimators use one extra thread. While the caller draws,
-selects and reduces chunk c, a single module-level worker thread draws and
-selects chunk c+1, but only when every rule still needs chunk c+1 whatever
-chunk c keeps, so no chunk is drawn that a serial run would not draw. The
-bookkeeping stays on the caller, in chunk order, so the results are those of
-a serial run bit for bit. The two threads overlap because numpy releases
-the interpreter lock while it fills and combines arrays; a third would hold
-a third chunk in memory, for a core that two-core machines do not have. The
-symbol level keeps one chunk in flight: each of its chunks holds tens of
-megabytes of symbols, and overlapping two of them costs more memory than it
-saves time. Large temporaries are built in row slices of at most `_SLICE`
-values; generator fills are sequential and each row is reduced on its own,
-so slicing changes no bit. Interferer sums are written in place into the
-chunk's interference array, and a single interferer is drawn straight into
-it.
+Both estimators use one extra thread. While the caller handles chunk c, a
+single module-level worker thread draws chunk c+1 and computes its values,
+but only when every rule still needs chunk c+1 whatever chunk c keeps, so
+no chunk is drawn that a serial run would not draw. The bookkeeping stays
+on the caller, in chunk order, so the results are those of a serial run bit
+for bit. The two threads overlap because numpy releases the interpreter
+lock while it fills and combines arrays; a third would hold a third chunk
+in memory, for a core that two-core machines do not have.
+
+A chunk is held in row slices of about `_SLICE` values wherever the
+stream allows. Generator fills are sequential, so a fill split into row
+slices gives the values of one fill, and each row is reduced on its own, so
+slicing changes no bit. The power level draws a chunk's desired powers in
+full, as the stream orders them first, then draws each slice's interferers
+and selects and gathers that slice for every rule; a correlated pair draws
+each interferer over all rows, so its interference is drawn in full and
+selected slice by slice. The symbol level draws a chunk's gains in full and
+its symbol indices a slice at a time into one-byte arrays, about a megabyte
+per million symbols; the complex symbols exist one slice at a time, gathered
+once for every rule.
 
 Selecting the kept antenna is a comparison at two antennas (an argmax at
 three or more, nothing at one), and the kept powers are gathered from the
@@ -53,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, NumericalError, SelectionRule, SystemConfig, is_count
+from .model import ConfigError, NumericalError, SelectionRule, SystemConfig
 
 DEFAULT_SEED = 12345
 
@@ -62,8 +67,9 @@ DEFAULT_SEED = 12345
 CHUNK = 1 << 17
 
 _SYMBOL_CHUNK_SYMBOLS = 1 << 20
-# values per row slice of the interferer draws and the symbol-level error,
-# small enough for the slice's temporaries to stay in cache
+# values per row slice of the interferer draws, the symbol indices and the
+# per-rule selection and error, small enough for the slice's temporaries to
+# stay in cache
 _SLICE = 1 << 16
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -91,6 +97,17 @@ class EvmEstimate:
     rejected: int  # zero/underflowed-desired-power draws replaced by later ones
 
 
+def _as_int(value):
+    # Python and numpy integers as an int, else None; bool is an int
+    # subclass but neither a seed nor a count
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def check_seed(seed):
     """The seed as an int; Python and numpy integers pass, all else is a ConfigError.
 
@@ -98,12 +115,19 @@ def check_seed(seed):
     aliasing another stream; bool is an int subclass but not a seed, and a
     float is refused even when whole.
     """
-    if not isinstance(seed, (bool, np.bool_)):
-        try:
-            return operator.index(seed)
-        except TypeError:
-            pass
-    raise ConfigError(f"seed must be an integer, got {seed!r}")
+    integer = _as_int(seed)
+    if integer is None:
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    return integer
+
+
+def check_count(value, name, minimum):
+    """The count as an int >= minimum; Python and numpy integers pass, all else
+    (a bool or a whole float included) is a ConfigError."""
+    count = _as_int(value)
+    if count is None or count < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return count
 
 
 def derive_seed(base, *parts):
@@ -124,47 +148,88 @@ def _chunk_rng(stream_seed, chunk):
     return np.random.Generator(np.random.Philox(key=[stream_seed, chunk]))
 
 
-def _correlated_pair_gains(rng, count, rho):
-    # h2 = rho h1 + sqrt(1 - rho^2) w reproduces E[h2 conj(h1)] = rho
-    # with both margins standard complex normal
-    h1 = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * _INV_SQRT2
-    w = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * _INV_SQRT2
-    h2 = rho * h1 + math.sqrt((1.0 - rho) * (1.0 + rho)) * w
-    return np.stack([h1, h2], axis=1)
+def _correlated_pair_gains(rng, count, rho, out=None, scratch=None):
+    """(count, 2) complex gains of correlated pairs, written into `out` if given.
+
+    h2 = rho h1 + sqrt(1 - rho^2) w reproduces E[h2 conj(h1)] = rho with
+    both margins standard complex normal. The real and imaginary parts are
+    formed in place: in each complex product the cross term is an exact
+    zero, so the parts carry the bits of the complex arithmetic. `scratch`,
+    if given, is a contiguous float array of `count` values to draw into.
+    """
+    gains = np.empty((count, 2), dtype=complex) if out is None else out
+    first, second = gains[:, 0], gains[:, 1]
+    scale = math.sqrt((1.0 - rho) * (1.0 + rho))
+    normal = np.empty(count) if scratch is None else scratch
+    for part in (first.real, first.imag):
+        np.multiply(rng.standard_normal(out=normal), _INV_SQRT2, out=part)
+    for part, before in ((second.real, first.real), (second.imag, first.imag)):
+        np.multiply(rng.standard_normal(out=normal), _INV_SQRT2, out=part)
+        part *= scale
+        part += np.multiply(before, rho, out=normal)
+    return gains
 
 
-def _sum_interferers(power, out=None):
-    """Sum over the last (interferer) axis in index order, into `out` if given.
+def _sum_interferers(power):
+    """Sum over the last (interferer) axis in index order.
 
     numpy's reduction over a short last axis costs several times more than
     drawing the numbers. For fewer than eight interferers this gives the
     same bits as power.sum(axis=-1); from eight on numpy sums pairwise, so
     the two can differ in the last bit.
     """
-    if out is None:
-        out = np.empty(power.shape[:-1])
     if power.shape[-1] == 1:
-        out[...] = power[..., 0]
-        return out
-    np.add(power[..., 0], power[..., 1], out=out)
+        return power[..., 0]
+    out = np.add(power[..., 0], power[..., 1])
     for j in range(2, power.shape[-1]):
         out += power[..., j]
     return out
 
 
-def _interference_power(rng, count, antennas, interferers):
-    # the (count, antennas, interferers) exponentials, summed in place; the
-    # fills are sequential, so the values are those of a single fill
-    total = np.empty((count, antennas))
-    if interferers == 1:
-        return rng.standard_exponential(out=total)
-    # drawn one row slice at a time, so the slice stays in cache
-    step = max(1, _SLICE // (antennas * interferers))
+def _row_slices(count, step):
     for start in range(0, count, step):
-        stop = min(start + step, count)
-        _sum_interferers(rng.standard_exponential((stop - start, antennas, interferers)),
-                         out=total[start:stop])
-    return total
+        yield slice(start, min(start + step, count))
+
+
+def _interference_power(rng, count, antennas, interferers):
+    # the (count, antennas, interferers) exponentials, summed in interferer order
+    if interferers == 1:
+        return rng.standard_exponential((count, antennas))
+    return _sum_interferers(rng.standard_exponential((count, antennas, interferers)))
+
+
+def _power_rows(cfg, rng, count):
+    """Desired powers of `count` blocks, and their interference powers by row slice.
+
+    Returns the (count, antennas) desired powers and an iterator of
+    (rows, interference powers of those rows). Independent interferers are
+    drawn as the iterator advances, after the desired powers, as one fill
+    would draw them. A correlated pair draws each interferer over all rows,
+    so its interference is drawn in full up front and handed out in slices.
+    """
+    antennas, interferers = cfg.antennas, cfg.interferers
+    if cfg.rho > 0.0:
+        # one gains buffer serves every pair, and one power buffer holds each
+        # interferer pair's power and, before it, the pair's normal draws
+        power = np.empty((count, 2))
+        scratch = power.reshape(-1)[:count]
+        gains = _correlated_pair_gains(rng, count, cfg.rho, scratch=scratch)
+        desired = np.abs(gains)
+        np.square(desired, out=desired)
+        interference = np.zeros((count, 2))
+        for _ in range(interferers):
+            _correlated_pair_gains(rng, count, cfg.rho, out=gains, scratch=scratch)
+            interference += np.square(np.abs(gains, out=power), out=power)
+        rows = _row_slices(count, _SLICE // 2)
+        return desired, ((span, interference[span]) for span in rows)
+    if cfg.fading.is_rayleigh_equivalent:
+        desired = rng.standard_exponential((count, antennas))
+    else:
+        m = cfg.fading.m
+        desired = rng.gamma(m, 1.0 / m, (count, antennas))
+    rows = _row_slices(count, max(1, _SLICE // (antennas * interferers)))
+    return desired, ((span, _interference_power(rng, span.stop - span.start, antennas,
+                                                interferers)) for span in rows)
 
 
 def draw_channels(cfg, rng, count):
@@ -185,20 +250,11 @@ def draw_channels(cfg, rng, count):
         ChannelDraw of shape (count, cfg.antennas) arrays.
     """
     _check_config(cfg)
-    antennas, interferers = cfg.antennas, cfg.interferers
-    if cfg.rho > 0.0:
-        desired = np.square(np.abs(_correlated_pair_gains(rng, count, cfg.rho)))
-        interference = np.zeros((count, 2))
-        for _ in range(interferers):
-            gains = _correlated_pair_gains(rng, count, cfg.rho)
-            interference += np.square(np.abs(gains))
-        return ChannelDraw(desired, interference)
-    if cfg.fading.is_rayleigh_equivalent:
-        desired = rng.standard_exponential((count, antennas))
-    else:
-        m = cfg.fading.m
-        desired = rng.gamma(m, 1.0 / m, (count, antennas))
-    return ChannelDraw(desired, _interference_power(rng, count, antennas, interferers))
+    desired, slices = _power_rows(cfg, rng, count)
+    interference = np.empty(desired.shape)
+    for rows, part in slices:
+        interference[rows] = part
+    return ChannelDraw(desired, interference)
 
 
 def select_antenna(desired_power, interference_power, rule):
@@ -270,23 +326,23 @@ def _submit(job):
     return reply
 
 
-def _collect(stream, rules, wanted, draw, per_block, reduce, failure, ahead=None):
+def _collect(stream, rules, wanted, chunk_values, reduce, failure, ahead=None):
     """The chunk loop shared by both estimators.
 
-    Chunk i is drawn once, by draw(rng) from the (stream, i) generator, and
-    shared by every rule. per_block(chunk, rule) gives one value per block;
-    non-finite values are skipped and replaced by later ones, and
-    reduce(kept values) is stored. A rule stops taking chunks once it holds
-    `wanted` values, so each rule's result is the one a single-rule run
-    gives. NumericalError (message `failure`) is raised once a rule has
+    Chunk i is drawn once, by chunk_values(rng, active rules) from the
+    (stream, i) generator, which returns one value per block for each active
+    rule, in order. Non-finite values are skipped and replaced by later
+    ones, and reduce(kept values) is stored. A rule stops taking chunks once
+    it holds `wanted` values, so each rule's result is the one a single-rule
+    run gives. NumericalError (message `failure`) is raised once a rule has
     rejected more than 1% of `wanted`.
 
-    With `ahead`, the number of blocks in a chunk, chunk i+1 is drawn and
-    selected on the worker thread while the caller handles chunk i, whenever
-    every rule still taking chunks would fall short of `wanted` even if it
-    kept all of chunk i. The keep-finite and reduce steps run on the caller
-    in chunk order, so the results are the serial ones; an exception raised
-    on the worker is raised here.
+    With `ahead`, the number of blocks in a chunk, chunk i+1 is drawn on the
+    worker thread while the caller handles chunk i, whenever every rule
+    still taking chunks would fall short of `wanted` even if it kept all of
+    chunk i. The keep-finite and reduce steps run on the caller in chunk
+    order, so the results are the serial ones; an exception raised on the
+    worker is raised here.
 
     Returns:
         {rule: (list of reduce() results in chunk order, rejected count)}.
@@ -295,9 +351,8 @@ def _collect(stream, rules, wanted, draw, per_block, reduce, failure, ahead=None
     rejected = dict.fromkeys(rules, 0)
     parts = {rule: [] for rule in rules}
 
-    def draw_and_select(chunk, active):
-        data = draw(_chunk_rng(stream, chunk))
-        return [per_block(data, rule) for rule in active]
+    def values_of(chunk, active):
+        return chunk_values(_chunk_rng(stream, chunk), active)
 
     chunk = 0
     drawn_ahead = None  # (rules, reply queue) of the next chunk, on the worker
@@ -313,8 +368,8 @@ def _collect(stream, rules, wanted, draw, per_block, reduce, failure, ahead=None
                 active = [rule for rule in rules if kept[rule] < wanted]
                 if ahead is not None and all(kept[rule] + ahead < wanted for rule in active):
                     drawn_ahead = active, _submit(
-                        functools.partial(draw_and_select, chunk + 1, active))
-                selected = draw_and_select(chunk, active)
+                        functools.partial(values_of, chunk + 1, active))
+                selected = values_of(chunk, active)
             for rule, values in zip(active, selected):
                 need = wanted - kept[rule]
                 # a zero or underflowed selected desired gain makes the value
@@ -335,12 +390,39 @@ def _collect(stream, rules, wanted, draw, per_block, reduce, failure, ahead=None
                 if rejected[rule] > 0.01 * wanted:
                     raise NumericalError(failure.format(rejected=rejected[rule],
                                                         wanted=wanted))
+            # free this chunk's values before the next chunk is drawn
+            del selected, values
             chunk += 1
     finally:
         # leave no chunk running once the caller has an answer or an error
         if drawn_ahead is not None:
             drawn_ahead[1].get()
     return {rule: (parts[rule], rejected[rule]) for rule in rules}
+
+
+def _kept_ratio(desired, interference, rule, out):
+    """sqrt(interference / desired) at the antenna each row keeps, into `out`.
+
+    The kept powers are gathered from the flattened arrays at
+    index + row * antennas.
+    """
+    rows, antennas = desired.shape
+    kept = select_antenna(desired, interference, rule)
+    kept += np.arange(0, rows * antennas, antennas)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(np.take(interference.reshape(-1), kept),
+                  np.take(desired.reshape(-1), kept), out=out)
+        return np.sqrt(out, out=out)
+
+
+def _power_values(cfg, rng, rules):
+    """One chunk's sqrt(interference / desired) at the kept antenna, per rule."""
+    desired, slices = _power_rows(cfg, rng, CHUNK)
+    values = [np.empty(CHUNK) for _ in rules]
+    for rows, interference in slices:
+        for rule, out in zip(rules, values):
+            _kept_ratio(desired[rows], interference, rule, out[rows])
+    return values
 
 
 def estimate_evm_rules(cfg, rules, samples, seed=DEFAULT_SEED):
@@ -352,7 +434,7 @@ def estimate_evm_rules(cfg, rules, samples, seed=DEFAULT_SEED):
     Args:
         cfg: receiver configuration.
         rules: SelectionRules to estimate; duplicates are merged.
-        samples: number of fading blocks per rule, >= 2.
+        samples: number of fading blocks per rule, an integer >= 2.
         seed: base seed; same (cfg, samples, seed) gives identical output.
 
     Returns:
@@ -361,30 +443,14 @@ def estimate_evm_rules(cfg, rules, samples, seed=DEFAULT_SEED):
         finite, which with independent antennas needs L m > 1.
     """
     rules = _check_rules(cfg, rules)
-    if not isinstance(samples, int) or samples < 2:
-        raise ConfigError(f"samples must be an integer >= 2, got {samples!r}")
-
-    def draw(rng):
-        return draw_channels(cfg, rng, CHUNK)
-
-    # flat position of antenna 0 in each row of a (CHUNK, antennas) array
-    row_starts = np.arange(0, CHUNK * cfg.antennas, cfg.antennas)
-
-    def per_block(powers, rule):
-        kept = select_antenna(powers.desired_power, powers.interference_power, rule)
-        kept += row_starts
-        values = np.take(powers.interference_power.reshape(-1), kept)
-        desired = np.take(powers.desired_power.reshape(-1), kept)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.divide(values, desired, out=values)
-            return np.sqrt(values, out=values)
+    samples = check_count(samples, "samples", 2)
 
     def reduce(values):
         return float(values.sum()), float(np.square(values).sum())
 
     collected = _collect(
-        derive_seed(seed, "power"), rules, samples, draw, per_block, reduce,
-        "{rejected} draws with zero selected desired power while collecting "
+        derive_seed(seed, "power"), rules, samples, functools.partial(_power_values, cfg),
+        reduce, "{rejected} draws with zero selected desired power while collecting "
         "{wanted}; the configuration is too degenerate to average", ahead=CHUNK)
     estimates = {}
     for rule, (sums, rejected) in collected.items():
@@ -422,6 +488,49 @@ def _draw_gains(cfg, rng, count):
     return desired, interferer
 
 
+def _symbol_indices(rng, size, shape, step):
+    # one byte per index, drawn `step` rows at a time: int64 bounded draws
+    # below 2**32 take 32-bit words and keep a spare half in the generator,
+    # so the slices continue one another as one fill of `shape` would
+    indices = np.empty(shape, dtype=np.uint8)
+    for rows in _row_slices(shape[0], step):
+        indices[rows] = rng.integers(0, size, indices[rows].shape)
+    return indices
+
+
+def _symbol_evms(cfg, points, slots, per_chunk, rng, rules):
+    """One chunk of `per_chunk` blocks: the per-block EVM under each rule.
+
+    The stream holds the gains, then every block's data indices, then every
+    block's interferer indices.
+    """
+    step = max(1, _SLICE // slots)
+    desired_gain, interferer_gain = _draw_gains(cfg, rng, per_chunk)
+    data = _symbol_indices(rng, points.size, (per_chunk, slots), step)
+    noise = _symbol_indices(rng, points.size, (per_chunk, cfg.interferers, slots), step)
+    powers = (np.square(np.abs(desired_gain)),
+              _sum_interferers(np.square(np.abs(interferer_gain))))
+    kept = [select_antenna(*powers, rule) for rule in rules]
+    evms = [np.empty(per_chunk) for _ in rules]
+    blocks = np.arange(per_chunk)
+    for rows in _row_slices(per_chunk, step):
+        # intp indices gather about three times faster than uint8 ones
+        sent = points[data[rows].astype(np.intp)]
+        interfering = points[noise[rows].astype(np.intp)]
+        # each block's EVM depends on its own row alone
+        for idx, evm in zip(kept, evms):
+            h0 = desired_gain[blocks[rows], idx[rows]][:, None]
+            hj = interferer_gain[blocks[rows], idx[rows], :]
+            # received / h0 - sent, formed in place
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                error = h0 * sent
+                error += np.einsum("bj,bjs->bs", hj, interfering)
+                np.divide(error, h0, out=error)
+                error -= sent
+                evm[rows] = np.sqrt(np.square(np.abs(error)).mean(axis=1))
+    return evms
+
+
 def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qpsk",
                                     seed=DEFAULT_SEED):
     """Estimate the EVM by demodulating simulated waveforms, under each rule given.
@@ -437,8 +546,8 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
     Args:
         cfg: receiver configuration.
         rules: SelectionRules to estimate; duplicates are merged.
-        slots: data symbols per fading block, >= 1.
-        blocks: independent fading blocks per rule, >= 2.
+        slots: data symbols per fading block, an integer >= 1.
+        blocks: independent fading blocks per rule, an integer >= 2.
         constellation: "qpsk" or "16qam" (unit average energy each).
         seed: base seed, domain-separated from estimate_evm.
 
@@ -446,10 +555,8 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
         {rule: EvmEstimate over blocks}, in the order given.
     """
     rules = _check_rules(cfg, rules)
-    if not is_count(slots):
-        raise ConfigError(f"slots must be an integer >= 1, got {slots!r}")
-    if not isinstance(blocks, int) or blocks < 2:
-        raise ConfigError(f"blocks must be an integer >= 2, got {blocks!r}")
+    slots = check_count(slots, "slots", 1)
+    blocks = check_count(blocks, "blocks", 2)
     try:
         points = CONSTELLATIONS[constellation]
     except KeyError:
@@ -457,38 +564,11 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
             f"unknown constellation {constellation!r}; "
             f"choose from {sorted(CONSTELLATIONS)}") from None
     per_chunk = max(1, _SYMBOL_CHUNK_SYMBOLS // slots)
-    step = max(1, _SLICE // slots)
-
-    def draw(rng):
-        desired_gain, interferer_gain = _draw_gains(cfg, rng, per_chunk)
-        data = points[rng.integers(0, points.size, (per_chunk, slots))]
-        noise_symbols = points[rng.integers(
-            0, points.size, (per_chunk, cfg.interferers, slots))]
-        powers = (np.square(np.abs(desired_gain)),
-                  _sum_interferers(np.square(np.abs(interferer_gain))))
-        return desired_gain, interferer_gain, data, noise_symbols, powers
-
-    def per_block(chunk, rule):
-        desired_gain, interferer_gain, data, noise_symbols, powers = chunk
-        idx = select_antenna(*powers, rule)
-        rows = np.arange(per_chunk)
-        evm = np.empty(per_chunk)
-        # each block's EVM depends on its own row alone
-        for start in range(0, per_chunk, step):
-            span = slice(start, start + step)
-            h0 = desired_gain[rows[span], idx[span]]
-            hj = interferer_gain[rows[span], idx[span], :]
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                received = (h0[:, None] * data[span]
-                            + np.einsum("bj,bjs->bs", hj, noise_symbols[span]))
-                error = received / h0[:, None] - data[span]
-                evm[span] = np.sqrt(np.square(np.abs(error)).mean(axis=1))
-        return evm
-
     collected = _collect(
         derive_seed(seed, "symbol", constellation, slots), rules, blocks,
-        draw, per_block, lambda evms: evms,
-        "{rejected} blocks with a zero selected gain while collecting {wanted}")
+        functools.partial(_symbol_evms, cfg, points, slots, per_chunk), lambda evms: evms,
+        "{rejected} blocks with a zero selected gain while collecting {wanted}",
+        ahead=per_chunk)
     estimates = {}
     for rule, (block_evms, rejected) in collected.items():
         values = np.concatenate(block_evms)

@@ -21,7 +21,7 @@ from .model import (
     SelectionRule,
     SystemConfig,
 )
-from .simulate import DEFAULT_SEED, check_seed, derive_seed, estimate_evm_rules
+from .simulate import DEFAULT_SEED, check_count, check_seed, derive_seed, estimate_evm_rules
 
 SWEEP_AXES = ("L", "M", "m_d", "rho")
 CSV_HEADER = "L,M,rule,m_d,rho,analytic,mc_mean,mc_stderr,z_score,status"
@@ -58,8 +58,7 @@ class SweepSpec:
         object.__setattr__(self, "values", values)
         if not isinstance(self.base, SystemConfig):
             raise ConfigError("base must be a SystemConfig")
-        if not isinstance(self.samples, int) or self.samples < 2:
-            raise ConfigError(f"samples must be an integer >= 2, got {self.samples!r}")
+        object.__setattr__(self, "samples", check_count(self.samples, "samples", 2))
         object.__setattr__(self, "seed", check_seed(self.seed))
         rules = (self.base.rule,) if self.rules is None else tuple(self.rules)
         if (not rules or not all(isinstance(rule, SelectionRule) for rule in rules)

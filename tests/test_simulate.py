@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -64,6 +65,24 @@ def test_numpy_integer_seeds_give_the_int_stream(seed):
         estimate_evm(RAYLEIGH_21_SIR, 2000, seed=7)
     assert estimate_evm_symbol_level(RAYLEIGH_21_SIR, slots=4, blocks=10, seed=seed) == \
         estimate_evm_symbol_level(RAYLEIGH_21_SIR, slots=4, blocks=10, seed=7)
+
+
+@pytest.mark.parametrize("count", [np.int64(2000), np.uint32(2000), np.int16(2000)])
+def test_numpy_integer_counts_give_the_int_estimates(count):
+    assert repr(estimate_evm(RAYLEIGH_21_SIR, count)) == \
+        repr(estimate_evm(RAYLEIGH_21_SIR, 2000))
+    assert repr(estimate_evm_symbol_level(RAYLEIGH_21_SIR, count // 200, count // 100)) == \
+        repr(estimate_evm_symbol_level(RAYLEIGH_21_SIR, 10, 20))
+
+
+@pytest.mark.parametrize("count", [True, np.bool_(True), 2000.0, "2000", None])
+def test_counts_must_be_integers(count):
+    with pytest.raises(ConfigError, match="samples must be an integer"):
+        estimate_evm(RAYLEIGH_21_SIR, count)
+    with pytest.raises(ConfigError, match="slots must be an integer"):
+        estimate_evm_symbol_level(RAYLEIGH_21_SIR, slots=count, blocks=10)
+    with pytest.raises(ConfigError, match="blocks must be an integer"):
+        estimate_evm_symbol_level(RAYLEIGH_21_SIR, slots=4, blocks=count)
 
 
 def test_estimate_is_deterministic():
@@ -359,19 +378,21 @@ def test_rules_stop_taking_chunks_independently():
     # chunk where max-signal is done after two; neither sees the other
     draws = []
 
-    def draw(rng):
+    def chunk_values(rng, rules):
         draws.append(1)
-        return rng.standard_normal(200)
-
-    def per_block(values, rule):
-        if rule is SelectionRule.MAX_SIR:
-            values = values.copy()
-            values[0] = np.nan
-        return values
+        values = rng.standard_normal(200)
+        per_rule = []
+        for rule in rules:
+            if rule is SelectionRule.MAX_SIR:
+                per_rule.append(values.copy())
+                per_rule[-1][0] = np.nan
+            else:
+                per_rule.append(values)
+        return per_rule
 
     def run(rules):
         draws.clear()
-        return _collect(5, rules, 400, draw, per_block, lambda v: v, "{rejected}"), len(draws)
+        return _collect(5, rules, 400, chunk_values, lambda v: v, "{rejected}"), len(draws)
 
     shared, shared_chunks = run(BOTH_RULES)
     assert shared_chunks == 3
@@ -471,6 +492,27 @@ def test_sliced_draw_equals_one_shot_fill(cfg):
     assert np.array_equal(draw.interference_power, interference)
 
 
+# the symbol level draws its indices a row slice at a time into one-byte
+# arrays: int64 bounded draws take 32-bit words and keep the spare half of a
+# 64-bit output in the generator. Every slice here holds an odd number of
+# values, so each one starts on the half the one before left.
+@pytest.mark.parametrize("after_float", (False, True), ids=("fresh", "after-float"))
+@pytest.mark.parametrize("step", (1, 7, 33))
+@pytest.mark.parametrize("points", (4, 16))
+def test_sliced_integer_draw_equals_one_shot_fill(points, step, after_float):
+    sliced, one_shot = _chunk_rng(89, points), _chunk_rng(89, points)
+    if after_float:
+        # the gains come first in a symbol chunk
+        assert np.array_equal(sliced.standard_normal(3), one_shot.standard_normal(3))
+    for shape in ((101, 7), (101, 3, 7)):  # the data, then the interferer symbols
+        indices = simulate._symbol_indices(sliced, points, shape, step)
+        assert indices.dtype == np.uint8
+        assert np.array_equal(indices, one_shot.integers(0, points, shape))
+    # both generators stand at the same word and hold the same spare half
+    for draw in (lambda rng: rng.integers(0, points, 3), lambda rng: rng.random(3)):
+        assert np.array_equal(draw(sliced), draw(one_shot))
+
+
 # _serial_estimates below selects through select_antenna; these pin it and
 # the estimator's gather to numpy's argmax and two-dimensional indexing
 def _documented_key(desired, interference, rule):
@@ -510,24 +552,10 @@ def test_selection_is_numpys_argmax_of_the_documented_key(antennas, rule):
             idx, np.argmax(_documented_key(desired, interference, rule), axis=1))
 
 
-def _power_per_block(cfg, monkeypatch):
-    # the per-block function estimate_evm_rules hands to the chunk loop
-    captured = []
-    original = simulate._collect
-
-    def spy(stream, rules, wanted, draw, per_block, *args, **kwargs):
-        captured.append(per_block)
-        return original(stream, rules, wanted, draw, per_block, *args, **kwargs)
-
-    monkeypatch.setattr(simulate, "_collect", spy)
-    estimate_evm_rules(cfg, BOTH_RULES, 2)
-    return captured[0]
-
-
 @pytest.mark.parametrize("antennas", range(1, 9))
-def test_flat_gather_equals_two_dimensional_indexing(monkeypatch, antennas):
+def test_flat_gather_equals_two_dimensional_indexing(antennas):
+    # _kept_ratio is what estimate_evm_rules applies to each row slice of a chunk
     cfg = SystemConfig(antennas, 2, SelectionRule.MAX_SIR)
-    per_block = _power_per_block(cfg, monkeypatch)
     rng = np.random.default_rng(100 + antennas)
     rows = np.arange(CHUNK)
     draws = (draw_channels(cfg, rng, CHUNK),
@@ -538,7 +566,8 @@ def test_flat_gather_equals_two_dimensional_indexing(monkeypatch, antennas):
             idx = np.argmax(_documented_key(desired, interference, rule), axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 expected = np.sqrt(interference[rows, idx] / desired[rows, idx])
-            np.testing.assert_array_equal(per_block(draw, rule), expected)
+            got = simulate._kept_ratio(desired, interference, rule, np.empty(CHUNK))
+            np.testing.assert_array_equal(got, expected)
 
 
 def _serial_estimates(cfg, rules, samples, seed):
@@ -577,7 +606,77 @@ def test_failed_draw_surfaces_and_next_estimate_works(monkeypatch, failing_chunk
     cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
     samples = 3 * CHUNK
     expected = estimate_evm(cfg, samples, seed=97)
-    original = simulate.draw_channels
+    original = simulate._power_values
+    failed_on = []
+
+    def failing(cfg, rng, rules):
+        if rng.bit_generator.state["state"]["key"][1] == failing_chunk:
+            failed_on.append(threading.current_thread())
+            raise RuntimeError(f"draw failed in chunk {failing_chunk}")
+        return original(cfg, rng, rules)
+
+    monkeypatch.setattr(simulate, "_power_values", failing)
+    with pytest.raises(RuntimeError, match=f"chunk {failing_chunk}"):
+        estimate_evm(cfg, samples, seed=97)
+    assert (failed_on[0] is threading.main_thread()) == (failing_chunk == 0)
+    monkeypatch.undo()
+    assert estimate_evm(cfg, samples, seed=97) == expected
+
+
+# 4096 slots make 256-block chunks
+SYMBOL_SLOTS = 4096
+SYMBOL_PER_CHUNK = simulate._SYMBOL_CHUNK_SYMBOLS // SYMBOL_SLOTS
+
+
+def _serial_symbol_estimates(cfg, rules, slots, blocks, seed):
+    # one chunk at a time on the calling thread; each chunk's data and
+    # interferer symbols drawn in one fill each and indexed as int64
+    points = simulate.CONSTELLATIONS["qpsk"]
+    per_chunk = simulate._SYMBOL_CHUNK_SYMBOLS // slots
+    stream = derive_seed(seed, "symbol", "qpsk", slots)
+    evms = {rule: [] for rule in rules}
+    for chunk in range(-(-blocks // per_chunk)):
+        rng = _chunk_rng(stream, chunk)
+        desired_gain, interferer_gain = simulate._draw_gains(cfg, rng, per_chunk)
+        data = rng.integers(0, points.size, (per_chunk, slots))
+        noise = rng.integers(0, points.size, (per_chunk, cfg.interferers, slots))
+        powers = (np.square(np.abs(desired_gain)),
+                  _sum_interferers(np.square(np.abs(interferer_gain))))
+        for rule in rules:
+            idx = select_antenna(*powers, rule)
+            rows = np.arange(per_chunk)
+            h0 = desired_gain[rows, idx][:, None]
+            hj = interferer_gain[rows, idx, :]
+            # 64 blocks at a time, to bound the complex temporaries
+            for span in (slice(start, start + 64) for start in range(0, per_chunk, 64)):
+                received = (h0[span] * points[data[span]]
+                            + np.einsum("bj,bjs->bs", hj[span], points[noise[span]]))
+                error = received / h0[span] - points[data[span]]
+                evms[rule].append(np.sqrt(np.square(np.abs(error)).mean(axis=1)))
+    estimates = {}
+    for rule in rules:
+        values = np.concatenate(evms[rule])[:blocks]
+        assert np.all(np.isfinite(values))
+        estimates[rule] = simulate.EvmEstimate(
+            float(values.mean()), float(values.std(ddof=1)) / math.sqrt(blocks), blocks, 0)
+    return estimates
+
+
+@pytest.mark.parametrize("blocks", (SYMBOL_PER_CHUNK - 1, SYMBOL_PER_CHUNK,
+                                    2 * SYMBOL_PER_CHUNK + 5))
+def test_symbol_chunks_drawn_ahead_equal_serial_reference(blocks):
+    cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
+    assert (estimate_evm_symbol_level_rules(cfg, BOTH_RULES, SYMBOL_SLOTS, blocks, seed=91)
+            == _serial_symbol_estimates(cfg, BOTH_RULES, SYMBOL_SLOTS, blocks, seed=91))
+
+
+@pytest.mark.parametrize("failing_chunk", (0, 1))
+def test_failed_symbol_chunk_surfaces_and_next_estimate_works(monkeypatch, failing_chunk):
+    # chunk 0 is drawn on the calling thread while the worker draws chunk 1
+    cfg = SystemConfig(2, 1, SelectionRule.MAX_SIR)
+    blocks = 3 * SYMBOL_PER_CHUNK
+    expected = estimate_evm_symbol_level(cfg, SYMBOL_SLOTS, blocks, seed=97)
+    original = simulate._draw_gains
     failed_on = []
 
     def failing(cfg, rng, count):
@@ -586,12 +685,42 @@ def test_failed_draw_surfaces_and_next_estimate_works(monkeypatch, failing_chunk
             raise RuntimeError(f"draw failed in chunk {failing_chunk}")
         return original(cfg, rng, count)
 
-    monkeypatch.setattr(simulate, "draw_channels", failing)
+    monkeypatch.setattr(simulate, "_draw_gains", failing)
     with pytest.raises(RuntimeError, match=f"chunk {failing_chunk}"):
-        estimate_evm(cfg, samples, seed=97)
+        estimate_evm_symbol_level(cfg, SYMBOL_SLOTS, blocks, seed=97)
     assert (failed_on[0] is threading.main_thread()) == (failing_chunk == 0)
     monkeypatch.undo()
-    assert estimate_evm(cfg, samples, seed=97) == expected
+    assert estimate_evm_symbol_level(cfg, SYMBOL_SLOTS, blocks, seed=97) == expected
+
+
+# Peak traced memory of one estimate, both threads together. tracemalloc
+# counts numpy's data buffers, and each bound holds however the two threads'
+# chunks overlap; whole-chunk arrays peak above them, at 42, 30, 41 and
+# 26-39 MB.
+MEMORY_CASES = [
+    pytest.param(lambda: estimate_evm_symbol_level_rules(
+        RAYLEIGH_21_SIR, BOTH_RULES, 2000, 2000), 20.0, id="symbol-2000x2000"),
+    pytest.param(lambda: estimate_evm_rules(
+        SystemConfig(4, 4, SelectionRule.MAX_SIR), BOTH_RULES, 10 ** 6), 20.0, id="L4-M4"),
+    pytest.param(lambda: estimate_evm_rules(
+        SystemConfig(6, 2, SelectionRule.MAX_SIR, Fading.nakagami(2.0)), BOTH_RULES,
+        200000), 20.0, id="nakagami-L6-M2"),
+    pytest.param(lambda: estimate_evm_rules(
+        SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.6), BOTH_RULES, 200000), 23.0,
+        id="correlated"),
+]
+
+
+@pytest.mark.parametrize("estimate, bound_mb", MEMORY_CASES)
+def test_estimates_hold_chunks_in_row_slices(estimate, bound_mb):
+    estimate_evm(RAYLEIGH_21_SIR, 3 * CHUNK)  # the worker thread is up
+    tracemalloc.start()
+    try:
+        estimate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
 
 
 def test_estimates_are_frozen():

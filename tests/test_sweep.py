@@ -71,6 +71,14 @@ def test_spec_seed_accepts_numpy_integers():
     assert spec.seed == 7 and type(spec.seed) is int
 
 
+def test_spec_samples_accept_numpy_integers_not_bools():
+    spec = SweepSpec(axis="L", values=(1, 2), base=BASE, samples=np.int64(1000))
+    assert spec.samples == 1000 and type(spec.samples) is int
+    for samples in (True, np.bool_(True), 1000.0):
+        with pytest.raises(ConfigError, match="samples must be an integer"):
+            SweepSpec(axis="L", values=(1, 2), base=BASE, samples=samples)
+
+
 def test_dispatch_total_over_config_space():
     # every constructible configuration must land in exactly one bucket
     buckets = {"covered": 0, "uncovered": 0, "diverged": 0, "invalid": 0}

@@ -26,6 +26,7 @@ from .simulate import (
     DEFAULT_SEED,
     EvmEstimate,
     estimate_evm,
+    estimate_evm_batch,
     estimate_evm_rules,
     estimate_evm_symbol_level,
     estimate_evm_symbol_level_rules,
@@ -51,6 +52,7 @@ __all__ = [
     "analytic_formula",
     "emit_csv",
     "estimate_evm",
+    "estimate_evm_batch",
     "estimate_evm_rules",
     "estimate_evm_symbol_level",
     "estimate_evm_symbol_level_rules",

@@ -21,25 +21,35 @@ bit-for-bit the one its single-rule estimator gives. Interferer powers are
 summed per antenna in interferer index order, which can differ from numpy's
 pairwise `sum` in the last bit for eight or more interferers.
 
-Both estimators use one extra thread. While the caller handles chunk c, a
-single module-level worker thread draws chunk c+1 and computes its values,
-but only when every rule still needs chunk c+1 whatever chunk c keeps, so
-no chunk is drawn that a serial run would not draw. The bookkeeping stays
-on the caller, in chunk order, so the results are those of a serial run bit
-for bit. The two threads overlap because numpy releases the interpreter
-lock while it fills and combines arrays; a third would hold a third chunk
-in memory, for a core that two-core machines do not have.
+Estimates are drawn as a plan of chunk jobs. With no block rejected, an
+estimate of `wanted` values takes ceil(wanted / size) chunks, the last of
+which needs only the rows past the others; rejections only add chunks, so a
+serial run draws every planned chunk too. `estimate_evm_batch` plans many
+estimates at once (the `verify` grid, a sweep's points), the other
+estimators one. The caller and one module-level worker thread each take the
+next job of the plan that no thread has taken, so neither waits at the end
+of an estimate for the other's chunk. A job draws its chunk, keeps the
+finite values of its rows and reduces them, as the serial loop would; the
+caller tallies the jobs in plan order. Where a rejection leaves a rule
+needing more than a partial chunk gives, the caller draws that chunk in
+full and keeps it as the serial loop does, and chunks past the plan are
+drawn serially, so every result is the serial one bit for bit. The two
+threads overlap because numpy releases the interpreter lock while it fills
+and combines arrays; a third would hold a third chunk in memory, for a core
+that two-core machines do not have.
 
 A chunk is held in row slices of about `_SLICE` values wherever the
 stream allows. Generator fills are sequential, so a fill split into row
-slices gives the values of one fill, and each row is reduced on its own, so
-slicing changes no bit. The power level draws a chunk's desired powers in
-full, as the stream orders them first, then draws each slice's interferers
-and selects and gathers that slice for every rule; a correlated pair draws
-each interferer over all rows, so its interference is drawn in full and
-selected slice by slice. The symbol level draws a chunk's gains in full and
-its symbol indices a slice at a time into one-byte arrays, about a megabyte
-per million symbols; the complex symbols exist one slice at a time, gathered
+slices gives the values of one fill, and its first rows are those of the
+whole fill; each row is reduced on its own, so slicing changes no bit. The
+power level draws a chunk's desired powers in full, as the stream orders
+them first, then draws each slice's interferers, only as far as the rows
+the job keeps, and selects and gathers that slice for every rule; a
+correlated pair draws each interferer over all rows, so its interference is
+drawn in full and selected slice by slice. The symbol level draws a chunk's
+gains and data indices in full and its interferer indices only as far as
+the kept rows, a slice at a time into one-byte arrays, about a megabyte per
+million symbols; the complex symbols exist one slice at a time, gathered
 once for every rule.
 
 Selecting the kept antenna is a comparison at two antennas (an argmax at
@@ -198,38 +208,43 @@ def _interference_power(rng, count, antennas, interferers):
     return _sum_interferers(rng.standard_exponential((count, antennas, interferers)))
 
 
-def _power_rows(cfg, rng, count):
-    """Desired powers of `count` blocks, and their interference powers by row slice.
+def _power_rows(cfg, rng, count, rows=None):
+    """Powers of the first `rows` (default all) of `count` blocks, by row slice.
 
-    Returns the (count, antennas) desired powers and an iterator of
-    (rows, interference powers of those rows). Independent interferers are
-    drawn as the iterator advances, after the desired powers, as one fill
-    would draw them. A correlated pair draws each interferer over all rows,
-    so its interference is drawn in full up front and handed out in slices.
+    Returns the (rows, antennas) desired powers and an iterator of (row
+    slice, interference powers of those rows). The desired powers of all
+    `count` blocks are drawn, as the stream orders them first. Independent
+    interferers are drawn as the iterator advances, only as far as `rows`,
+    as one fill would draw them. A correlated pair draws each interferer
+    over all `count` blocks, so its interference is drawn in full up front,
+    and summed and handed out in slices for the first `rows` alone.
     """
     antennas, interferers = cfg.antennas, cfg.interferers
+    rows = count if rows is None else rows
     if cfg.rho > 0.0:
         # one gains buffer serves every pair, and one power buffer holds each
         # interferer pair's power and, before it, the pair's normal draws
         power = np.empty((count, 2))
         scratch = power.reshape(-1)[:count]
         gains = _correlated_pair_gains(rng, count, cfg.rho, scratch=scratch)
-        desired = np.abs(gains)
+        desired = np.abs(gains[:rows])
         np.square(desired, out=desired)
-        interference = np.zeros((count, 2))
+        interference = np.zeros((rows, 2))
         for _ in range(interferers):
             _correlated_pair_gains(rng, count, cfg.rho, out=gains, scratch=scratch)
-            interference += np.square(np.abs(gains, out=power), out=power)
-        rows = _row_slices(count, _SLICE // 2)
-        return desired, ((span, interference[span]) for span in rows)
+            interference += np.square(np.abs(gains[:rows], out=power[:rows]),
+                                      out=power[:rows])
+        spans = _row_slices(rows, _SLICE // 2)
+        return desired, ((span, interference[span]) for span in spans)
     if cfg.fading.is_rayleigh_equivalent:
         desired = rng.standard_exponential((count, antennas))
     else:
         m = cfg.fading.m
         desired = rng.gamma(m, 1.0 / m, (count, antennas))
-    rows = _row_slices(count, max(1, _SLICE // (antennas * interferers)))
-    return desired, ((span, _interference_power(rng, span.stop - span.start, antennas,
-                                                interferers)) for span in rows)
+    spans = _row_slices(rows, max(1, _SLICE // (antennas * interferers)))
+    return desired[:rows], ((span, _interference_power(rng, span.stop - span.start,
+                                                       antennas, interferers))
+                            for span in spans)
 
 
 def draw_channels(cfg, rng, count):
@@ -294,110 +309,215 @@ def _check_rules(cfg, rules):
     return rules
 
 
-# the worker thread and its job queue, started by the first estimate that
-# draws a chunk ahead; every job carries its own reply queue, so callers on
-# different threads only share the worker's time, never their results
+# the worker thread and its job queue, started by the first plan of two or
+# more chunks; every plan keeps its own outcomes, so callers on different
+# threads only share the worker's time, never their results
 _worker = None
 _worker_lock = threading.Lock()
 
 
 def _work(jobs):
     while True:
-        job, reply = jobs.get()
-        try:
-            reply.put((job(), None))
-        except BaseException as error:  # re-raised on the caller by _collect
-            reply.put((None, error))
+        jobs.get()()
 
 
 def _submit(job):
-    """Run job() on the worker thread; returns the queue its outcome goes to."""
+    """Run job() on the worker thread, after the jobs submitted before it."""
     global _worker
     with _worker_lock:
         # a forked child inherits the record of a thread it does not have
         if _worker is None or not _worker[0].is_alive():
             jobs = queue.SimpleQueue()
             thread = threading.Thread(target=_work, args=(jobs,), daemon=True,
-                                      name="scevm-chunk-ahead")
+                                      name="scevm-chunk-plan")
             thread.start()
             _worker = thread, jobs
-        reply = queue.SimpleQueue()
-        _worker[1].put((job, reply))
-    return reply
+        _worker[1].put(job)
 
 
-def _collect(stream, rules, wanted, chunk_values, reduce, failure, ahead=None):
-    """The chunk loop shared by both estimators.
+class _Plan:
+    """Jobs that the caller and the worker take in order; outcomes by index."""
 
-    Chunk i is drawn once, by chunk_values(rng, active rules) from the
-    (stream, i) generator, which returns one value per block for each active
-    rule, in order. Non-finite values are skipped and replaced by later
-    ones, and reduce(kept values) is stored. A rule stops taking chunks once
-    it holds `wanted` values, so each rule's result is the one a single-rule
-    run gives. NumericalError (message `failure`) is raised once a rule has
-    rejected more than 1% of `wanted`.
+    def __init__(self, jobs):
+        self.jobs = jobs
+        self.outcomes = {}  # index: (value, error), until the caller reads it
+        self.taken = self.finished = 0
+        self.closed = False
+        self.changed = threading.Condition()
 
-    With `ahead`, the number of blocks in a chunk, chunk i+1 is drawn on the
-    worker thread while the caller handles chunk i, whenever every rule
-    still taking chunks would fall short of `wanted` even if it kept all of
-    chunk i. The keep-finite and reduce steps run on the caller in chunk
-    order, so the results are the serial ones; an exception raised on the
-    worker is raised here.
+    def take(self):
+        with self.changed:
+            if self.closed or self.taken == len(self.jobs):
+                return None
+            self.taken += 1
+            return self.taken - 1
+
+    def run(self, index):
+        try:
+            outcome = self.jobs[index](), None
+        except BaseException as error:  # raised on the caller by result()
+            outcome = None, error
+        with self.changed:
+            self.outcomes[index] = outcome
+            self.finished += 1
+            self.changed.notify_all()
+
+    def work(self):
+        """Run untaken jobs until none is left; the worker's share of the plan."""
+        while (index := self.take()) is not None:
+            self.run(index)
+
+    def result(self, index):
+        """The value of job `index`, running untaken jobs here until it is in."""
+        while index not in self.outcomes and (taken := self.take()) is not None:
+            self.run(taken)
+        with self.changed:
+            self.changed.wait_for(lambda: index in self.outcomes)
+            value, error = self.outcomes.pop(index)
+        if error is not None:
+            raise error
+        return value
+
+    def close(self):
+        """Take no further job, and wait for the jobs already running."""
+        with self.changed:
+            self.closed = True
+            self.changed.wait_for(lambda: self.finished == self.taken)
+
+
+@dataclass(frozen=True)
+class _Request:
+    """One estimate of a plan: `wanted` values per rule, chunk by chunk.
+
+    chunk_values(rng, rules, rows) draws a chunk of `size` blocks from rng
+    and returns, per rule, the values of its first `rows` blocks.
+    reduce(values) is what the estimate keeps of a chunk's kept values.
+    """
+
+    stream: int
+    rules: tuple
+    wanted: int
+    size: int
+    chunk_values: object
+    reduce: object
+    failure: str
+
+    def values(self, chunk, rules, rows=None):
+        """Chunk `chunk` under each of `rules`: its first `rows` values, default all."""
+        return self.chunk_values(_chunk_rng(self.stream, chunk), rules,
+                                 self.size if rows is None else rows)
+
+    def planned(self):
+        """(chunk, rows) of every chunk an estimate needs if no block is rejected."""
+        chunks = -(-self.wanted // self.size)
+        return [(chunk, min(self.size, self.wanted - chunk * self.size))
+                for chunk in range(chunks)]
+
+
+def _keep(values, need):
+    """The first `need` finite values, or all if fewer, and the non-finite ones skipped.
+
+    A zero or underflowed selected desired gain makes a value non-finite;
+    such blocks are skipped and replaced by later ones.
+    """
+    finite = np.isfinite(values)
+    if finite.all():
+        return values[:need], 0
+    finite = np.flatnonzero(finite)
+    if finite.size >= need:
+        return values[finite[:need]], int(finite[need - 1]) + 1 - need
+    return values[finite], values.size - finite.size
+
+
+def _planned_chunk(request, chunk, rows):
+    # every finite value of the chunk's first `rows` blocks, reduced, per rule
+    kept = []
+    for values in request.values(chunk, request.rules, rows):
+        values, _ = _keep(values, rows)
+        kept.append((request.reduce(values), values.size))
+    return kept
+
+
+def _collect(requests):
+    """The chunk loop shared by both estimators, over a plan of estimates.
+
+    A request's chunk i comes from the (stream, i) generator. Non-finite
+    values are skipped and replaced by later ones, and reduce(kept values)
+    is stored. A rule stops taking chunks once it holds `wanted` values, so
+    each rule's result is the one a single-rule run gives. NumericalError
+    (message `failure`) is raised once a rule has rejected more than 1% of
+    `wanted`.
+
+    The plan holds every chunk that each estimate needs if no block is
+    rejected: ceil(wanted / size) chunks, the last of which draws only the
+    rows it keeps. Rejections only add chunks, so a serial run draws every
+    planned chunk too. The caller and the worker thread each take the next
+    chunk of the plan that no thread has taken; a job keeps and reduces its
+    finite values, and the caller tallies the jobs in plan order. Where an
+    earlier rejection left a rule needing more than a partial chunk's rows,
+    or the partial chunk holds too few finite values, the caller draws that
+    chunk in full for the rule and keeps it as a serial run does; chunks
+    past the plan are drawn serially on the caller. So every result is the
+    serial one bit for bit. An exception raised by a job is raised here,
+    and no job runs on once this returns or raises.
 
     Returns:
-        {rule: (list of reduce() results in chunk order, rejected count)}.
+        per request, {rule: (list of reduce() results in chunk order,
+        rejected count)}.
     """
-    kept = dict.fromkeys(rules, 0)
-    rejected = dict.fromkeys(rules, 0)
-    parts = {rule: [] for rule in rules}
-
-    def values_of(chunk, active):
-        return chunk_values(_chunk_rng(stream, chunk), active)
-
-    chunk = 0
-    drawn_ahead = None  # (rules, reply queue) of the next chunk, on the worker
+    planned = [request.planned() for request in requests]
+    plan = _Plan([functools.partial(_planned_chunk, request, chunk, rows)
+                  for request, chunks in zip(requests, planned) for chunk, rows in chunks])
+    # the caller draws the first chunk, and the worker the next one untaken
+    first = plan.take()
+    if len(plan.jobs) > 1:
+        _submit(plan.work)
+    collected = []
+    index = 0
     try:
-        while any(count < wanted for count in kept.values()):
-            if drawn_ahead is not None:
-                active, reply = drawn_ahead
-                drawn_ahead = None
-                selected, error = reply.get()
-                if error is not None:
-                    raise error
-            else:
-                active = [rule for rule in rules if kept[rule] < wanted]
-                if ahead is not None and all(kept[rule] + ahead < wanted for rule in active):
-                    drawn_ahead = active, _submit(
-                        functools.partial(values_of, chunk + 1, active))
-                selected = values_of(chunk, active)
-            for rule, values in zip(active, selected):
-                need = wanted - kept[rule]
-                # a zero or underflowed selected desired gain makes the value
-                # non-finite; such blocks are skipped and replaced by later ones
-                finite = np.isfinite(values)
-                if finite.all():
-                    values = values[:need]
-                else:
-                    finite = np.flatnonzero(finite)
-                    if finite.size >= need:
-                        rejected[rule] += int(finite[need - 1]) + 1 - need
-                        values = values[finite[:need]]
-                    else:
-                        rejected[rule] += values.size - finite.size
-                        values = values[finite]
-                parts[rule].append(reduce(values))
-                kept[rule] += values.size
+        if first is not None:
+            plan.run(first)
+        for request, chunks in zip(requests, planned):
+            rules, wanted = request.rules, request.wanted
+            kept = dict.fromkeys(rules, 0)
+            rejected = dict.fromkeys(rules, 0)
+            parts = {rule: [] for rule in rules}
+
+            def tally(rule, part, count, skipped):
+                parts[rule].append(part)
+                kept[rule] += count
+                rejected[rule] += skipped
                 if rejected[rule] > 0.01 * wanted:
-                    raise NumericalError(failure.format(rejected=rejected[rule],
-                                                        wanted=wanted))
-            # free this chunk's values before the next chunk is drawn
-            del selected, values
-            chunk += 1
+                    raise NumericalError(request.failure.format(
+                        rejected=rejected[rule], wanted=wanted))
+
+            def keep(rule, values):
+                # the serial loop's step for a chunk drawn in full
+                values, skipped = _keep(values, wanted - kept[rule])
+                tally(rule, request.reduce(values), values.size, skipped)
+
+            for chunk, rows in chunks:
+                outcome = plan.result(index)
+                index += 1
+                # a partial chunk stands for the full one only if its rows are
+                # all finite and all that the rule still needs
+                redo = [rule for rule, (_, count) in zip(rules, outcome)
+                        if rows < request.size and count < wanted - kept[rule]]
+                drawn = dict(zip(redo, request.values(chunk, redo))) if redo else {}
+                for rule, (part, count) in zip(rules, outcome):
+                    if rule in drawn:
+                        keep(rule, drawn.pop(rule))
+                    else:
+                        tally(rule, part, count, rows - count)
+            chunk = len(chunks)
+            while active := [rule for rule in rules if kept[rule] < wanted]:
+                for rule, values in zip(active, request.values(chunk, active)):
+                    keep(rule, values)
+                chunk += 1
+            collected.append({rule: (parts[rule], rejected[rule]) for rule in rules})
     finally:
-        # leave no chunk running once the caller has an answer or an error
-        if drawn_ahead is not None:
-            drawn_ahead[1].get()
-    return {rule: (parts[rule], rejected[rule]) for rule in rules}
+        plan.close()
+    return collected
 
 
 def _kept_ratio(desired, interference, rule, out):
@@ -415,14 +535,53 @@ def _kept_ratio(desired, interference, rule, out):
         return np.sqrt(out, out=out)
 
 
-def _power_values(cfg, rng, rules):
-    """One chunk's sqrt(interference / desired) at the kept antenna, per rule."""
-    desired, slices = _power_rows(cfg, rng, CHUNK)
-    values = [np.empty(CHUNK) for _ in rules]
-    for rows, interference in slices:
+def _power_values(cfg, rng, rules, rows):
+    """sqrt(interference / desired) at the kept antenna, per rule, of a chunk's first rows."""
+    desired, slices = _power_rows(cfg, rng, CHUNK, rows)
+    values = [np.empty(rows) for _ in rules]
+    for span, interference in slices:
         for rule, out in zip(rules, values):
-            _kept_ratio(desired[rows], interference, rule, out[rows])
+            _kept_ratio(desired[span], interference, rule, out[span])
     return values
+
+
+def _sums(values):
+    return float(values.sum()), float(np.square(values).sum())
+
+
+def estimate_evm_batch(requests):
+    """estimate_evm_rules for each (cfg, rules, samples, seed) request, as one plan.
+
+    The two threads share out the chunks of every request, so neither
+    waits at the end of one estimate for the other to finish its chunk.
+    Every request is checked before any chunk is drawn.
+
+    Returns:
+        one {rule: EvmEstimate} per request, in order, each bit for bit what
+        estimate_evm_rules(cfg, rules, samples, seed) returns.
+    """
+    plan = []
+    for cfg, rules, samples, seed in requests:
+        rules = _check_rules(cfg, rules)
+        samples = check_count(samples, "samples", 2)
+        plan.append(_Request(
+            derive_seed(seed, "power"), rules, samples, CHUNK,
+            functools.partial(_power_values, cfg), _sums,
+            "{rejected} draws with zero selected desired power while collecting "
+            "{wanted}; the configuration is too degenerate to average"))
+    estimates = []
+    for request, collected in zip(plan, _collect(plan)):
+        samples = request.wanted
+        estimates.append({})
+        for rule, (sums, rejected) in collected.items():
+            total = math.fsum(chunk_sum for chunk_sum, _ in sums)
+            square_total = math.fsum(chunk_square for _, chunk_square in sums)
+            mean = total / samples
+            variance = max(0.0, (square_total - samples * mean * mean) / (samples - 1))
+            estimates[-1][rule] = EvmEstimate(
+                mean=mean, std_error=math.sqrt(variance / samples), samples=samples,
+                rejected=rejected)
+    return estimates
 
 
 def estimate_evm_rules(cfg, rules, samples, seed=DEFAULT_SEED):
@@ -442,25 +601,7 @@ def estimate_evm_rules(cfg, rules, samples, seed=DEFAULT_SEED):
         empirical one; it supports z scoring only where E[SIR'^-1] is
         finite, which with independent antennas needs L m > 1.
     """
-    rules = _check_rules(cfg, rules)
-    samples = check_count(samples, "samples", 2)
-
-    def reduce(values):
-        return float(values.sum()), float(np.square(values).sum())
-
-    collected = _collect(
-        derive_seed(seed, "power"), rules, samples, functools.partial(_power_values, cfg),
-        reduce, "{rejected} draws with zero selected desired power while collecting "
-        "{wanted}; the configuration is too degenerate to average", ahead=CHUNK)
-    estimates = {}
-    for rule, (sums, rejected) in collected.items():
-        total = math.fsum(chunk_sum for chunk_sum, _ in sums)
-        square_total = math.fsum(chunk_square for _, chunk_square in sums)
-        mean = total / samples
-        variance = max(0.0, (square_total - samples * mean * mean) / (samples - 1))
-        estimates[rule] = EvmEstimate(mean=mean, std_error=math.sqrt(variance / samples),
-                                      samples=samples, rejected=rejected)
-    return estimates
+    return estimate_evm_batch([(cfg, rules, samples, seed)])[0]
 
 
 def estimate_evm(cfg, samples, seed=DEFAULT_SEED):
@@ -498,36 +639,37 @@ def _symbol_indices(rng, size, shape, step):
     return indices
 
 
-def _symbol_evms(cfg, points, slots, per_chunk, rng, rules):
-    """One chunk of `per_chunk` blocks: the per-block EVM under each rule.
+def _symbol_evms(cfg, points, slots, per_chunk, rng, rules, rows):
+    """One chunk of `per_chunk` blocks: the EVM of its first `rows` blocks, per rule.
 
     The stream holds the gains, then every block's data indices, then every
-    block's interferer indices.
+    block's interferer indices; the last are drawn only as far as `rows`.
     """
     step = max(1, _SLICE // slots)
     desired_gain, interferer_gain = _draw_gains(cfg, rng, per_chunk)
     data = _symbol_indices(rng, points.size, (per_chunk, slots), step)
-    noise = _symbol_indices(rng, points.size, (per_chunk, cfg.interferers, slots), step)
+    noise = _symbol_indices(rng, points.size, (rows, cfg.interferers, slots), step)
+    desired_gain, interferer_gain = desired_gain[:rows], interferer_gain[:rows]
     powers = (np.square(np.abs(desired_gain)),
               _sum_interferers(np.square(np.abs(interferer_gain))))
     kept = [select_antenna(*powers, rule) for rule in rules]
-    evms = [np.empty(per_chunk) for _ in rules]
-    blocks = np.arange(per_chunk)
-    for rows in _row_slices(per_chunk, step):
+    evms = [np.empty(rows) for _ in rules]
+    blocks = np.arange(rows)
+    for span in _row_slices(rows, step):
         # intp indices gather about three times faster than uint8 ones
-        sent = points[data[rows].astype(np.intp)]
-        interfering = points[noise[rows].astype(np.intp)]
+        sent = points[data[span].astype(np.intp)]
+        interfering = points[noise[span].astype(np.intp)]
         # each block's EVM depends on its own row alone
         for idx, evm in zip(kept, evms):
-            h0 = desired_gain[blocks[rows], idx[rows]][:, None]
-            hj = interferer_gain[blocks[rows], idx[rows], :]
+            h0 = desired_gain[blocks[span], idx[span]][:, None]
+            hj = interferer_gain[blocks[span], idx[span], :]
             # received / h0 - sent, formed in place
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 error = h0 * sent
                 error += np.einsum("bj,bjs->bs", hj, interfering)
                 np.divide(error, h0, out=error)
                 error -= sent
-                evm[rows] = np.sqrt(np.square(np.abs(error)).mean(axis=1))
+                evm[span] = np.sqrt(np.square(np.abs(error)).mean(axis=1))
     return evms
 
 
@@ -564,11 +706,10 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
             f"unknown constellation {constellation!r}; "
             f"choose from {sorted(CONSTELLATIONS)}") from None
     per_chunk = max(1, _SYMBOL_CHUNK_SYMBOLS // slots)
-    collected = _collect(
-        derive_seed(seed, "symbol", constellation, slots), rules, blocks,
+    (collected,) = _collect([_Request(
+        derive_seed(seed, "symbol", constellation, slots), rules, blocks, per_chunk,
         functools.partial(_symbol_evms, cfg, points, slots, per_chunk), lambda evms: evms,
-        "{rejected} blocks with a zero selected gain while collecting {wanted}",
-        ahead=per_chunk)
+        "{rejected} blocks with a zero selected gain while collecting {wanted}")])
     estimates = {}
     for rule, (block_evms, rejected) in collected.items():
         values = np.concatenate(block_evms)

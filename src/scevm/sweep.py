@@ -21,7 +21,7 @@ from .model import (
     SelectionRule,
     SystemConfig,
 )
-from .simulate import DEFAULT_SEED, check_count, check_seed, derive_seed, estimate_evm_rules
+from .simulate import DEFAULT_SEED, check_count, check_seed, derive_seed, estimate_evm_batch
 
 SWEEP_AXES = ("L", "M", "m_d", "rho")
 CSV_HEADER = "L,M,rule,m_d,rho,analytic,mc_mean,mc_stderr,z_score,status"
@@ -88,7 +88,7 @@ def cell_seed(seed, cfg):
     """Per-point seed that deliberately ignores the selection rule.
 
     Every rule of a sweep point or verification grid cell then sees the
-    same channel draws, so one estimate_evm_rules call serves them all,
+    same channel draws, so one shared-draw estimate serves them all,
     and rule-ordering comparisons hold draw by draw instead of only in
     expectation.
     """
@@ -116,17 +116,35 @@ def run_sweep(spec):
     tail past the double range just above the divergence boundary), stay
     `ok` with empty analytic and z columns, so the simulator still covers
     them. Coverage and divergence are decided per rule; the rules left to
-    simulate share one estimate_evm_rules call per point, which gives each
-    rule the bits of its own single-rule estimate.
+    simulate share one estimate per point, which gives each rule the bits
+    of its own single-rule estimate. The closed forms are evaluated first,
+    and then every point's estimate comes from one estimate_evm_batch plan.
 
     Returns:
         SweepRows, rule-major: every point of rules[0], then of rules[1], ...
     """
-    rows = {rule: [] for rule in spec.rules}
+    points = []  # per value: (point, {rule: closed form} but the diverged rules)
     for value in spec.values:
         try:
             point = _apply_axis(spec.base, spec.axis, value)
         except (ConfigError, ValueError):
+            points.append((None, None))
+            continue
+        exact = {}
+        for rule in spec.rules:
+            try:
+                exact[rule] = analytic_formula(dataclasses.replace(point, rule=rule))
+            except DivergentMomentError:
+                pass
+            except NumericalError:
+                exact[rule] = None
+        points.append((point, exact))
+    batch = iter(estimate_evm_batch(
+        [(point, tuple(exact), spec.samples, cell_seed(spec.seed, point))
+         for point, exact in points if exact]))
+    rows = {rule: [] for rule in spec.rules}
+    for value, (point, exact) in zip(spec.values, points):
+        if point is None:
             placeholder = {"L": spec.base.antennas, "M": spec.base.interferers,
                            "m_d": spec.base.fading.m, "rho": spec.base.rho}
             placeholder[spec.axis] = value
@@ -136,18 +154,7 @@ def run_sweep(spec):
                     rule=rule.value, shape=placeholder["m_d"],
                     rho=placeholder["rho"], status=STATUS_UNSUPPORTED))
             continue
-        exact = {}  # every rule but the diverged ones
-        for rule in spec.rules:
-            try:
-                exact[rule] = analytic_formula(dataclasses.replace(point, rule=rule))
-            except DivergentMomentError:
-                pass
-            except NumericalError:
-                exact[rule] = None
-        estimates = {}
-        if exact:
-            estimates = estimate_evm_rules(point, tuple(exact), spec.samples,
-                                           seed=cell_seed(spec.seed, point))
+        estimates = next(batch) if exact else {}
         for rule in spec.rules:
             row = dict(antennas=point.antennas, interferers=point.interferers,
                        rule=rule.value, shape=point.fading.m, rho=point.rho)

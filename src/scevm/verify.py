@@ -14,7 +14,8 @@ ignores the rule, each chunk of draws is generated once and shared by the
 cell's rules, and a cell with both rules and at least two antennas checks
 that max-SIR beats max-signal on those draws, not merely on average. The
 symbol-level check likewise demodulates one set of gains and symbols under
-both rules. A grid re-run is per rule.
+both rules. The grid's estimates are drawn as one plan of chunks, shared
+out between two threads; a grid re-run is per rule.
 """
 
 import math
@@ -28,7 +29,7 @@ from .simulate import (
     check_seed,
     derive_seed,
     estimate_evm,
-    estimate_evm_rules,
+    estimate_evm_batch,
     estimate_evm_symbol_level_rules,
 )
 from .sweep import SweepRow, cell_seed
@@ -211,7 +212,7 @@ def asymptotic_checks():
 
 
 def _grid_cells():
-    """(antennas, interferers, fading, rho, rules) per grid configuration."""
+    """(configuration, rules) per grid cell; the configuration has the first rule."""
     both = (SelectionRule.MAX_SIR, SelectionRule.MAX_SIGNAL)
     cells = []
     for antennas in (1, 2, 4):
@@ -223,7 +224,8 @@ def _grid_cells():
         cells.append((2, 2, Fading.nakagami(m), 0.0, both))
     for rho in (0.3, 0.6, 0.9):
         cells.append((2, 1, Fading.rayleigh(), rho, both))
-    return cells
+    return [(SystemConfig(antennas, interferers, rules[0], fading, rho), rules)
+            for antennas, interferers, fading, rho, rules in cells]
 
 
 def mc_grid(samples, seed=DEFAULT_SEED):
@@ -243,12 +245,16 @@ def mc_grid(samples, seed=DEFAULT_SEED):
     """
     checks = []
     rows = []
-    for antennas, interferers, fading, rho, rules in _grid_cells():
-        cell = SystemConfig(antennas, interferers, rules[0], fading, rho)
+    cells = _grid_cells()
+    # every cell's estimates come from one plan; a re-run is a single estimate
+    batch = estimate_evm_batch([(cell, rules, samples, cell_seed(seed, cell))
+                                for cell, rules in cells])
+    for (cell, rules), estimates in zip(cells, batch):
+        antennas, interferers, fading, rho = (cell.antennas, cell.interferers,
+                                              cell.fading, cell.rho)
         where = (f"L={antennas} M={interferers} {fading.kind} m={fading.m:g} "
                  f"rho={rho:g}")
         base_seed = cell_seed(seed, cell)
-        estimates = estimate_evm_rules(cell, rules, samples, seed=base_seed)
         for rule, estimate in estimates.items():
             cfg = replace(cell, rule=rule)
             exact = analytic_formula(cfg)

@@ -1,10 +1,12 @@
 """Channel simulator: determinism, distributional faithfulness, selection."""
 
+import functools
 import math
 import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -13,7 +15,7 @@ import pytest
 
 import scevm
 from scevm import analytic, simulate, verify
-from scevm.model import ConfigError, Fading, SelectionRule, SystemConfig
+from scevm.model import ConfigError, Fading, NumericalError, SelectionRule, SystemConfig
 from scevm.simulate import (
     CHUNK,
     DEFAULT_SEED,
@@ -378,9 +380,9 @@ def test_rules_stop_taking_chunks_independently():
     # chunk where max-signal is done after two; neither sees the other
     draws = []
 
-    def chunk_values(rng, rules):
-        draws.append(1)
-        values = rng.standard_normal(200)
+    def chunk_values(rng, rules, rows):
+        draws.append(rows)
+        values = rng.standard_normal(200)[:rows]
         per_rule = []
         for rule in rules:
             if rule is SelectionRule.MAX_SIR:
@@ -392,7 +394,9 @@ def test_rules_stop_taking_chunks_independently():
 
     def run(rules):
         draws.clear()
-        return _collect(5, rules, 400, chunk_values, lambda v: v, "{rejected}"), len(draws)
+        request = simulate._Request(5, rules, 400, 200, chunk_values, lambda v: v,
+                                    "{rejected}")
+        return _collect([request])[0], len(draws)
 
     shared, shared_chunks = run(BOTH_RULES)
     assert shared_chunks == 3
@@ -445,7 +449,8 @@ def test_verification_equals_per_rule_reference(monkeypatch):
 
     args = dict(samples=200000, seed=7, slots=200, blocks=400)
     shared = text(verify.run_verification(**args))
-    monkeypatch.setattr(verify, "estimate_evm_rules", per_rule)
+    monkeypatch.setattr(verify, "estimate_evm_batch",
+                        lambda requests: [per_rule(*request) for request in requests])
     monkeypatch.setattr(verify, "estimate_evm_symbol_level_rules", per_rule_symbol)
     assert text(verify.run_verification(**args)) == shared
 
@@ -602,18 +607,25 @@ def test_chunks_drawn_ahead_equal_serial_reference(samples):
 
 @pytest.mark.parametrize("failing_chunk", (0, 1))
 def test_failed_draw_surfaces_and_next_estimate_works(monkeypatch, failing_chunk):
-    # chunk 0 is drawn on the calling thread while the worker draws chunk 1
+    # the caller takes chunk 0 and stays in it until the worker draws, so the
+    # worker has taken chunk 1: a failure surfaces from either thread
     cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
     samples = 3 * CHUNK
     expected = estimate_evm(cfg, samples, seed=97)
     original = simulate._power_values
+    worker_drawing = threading.Event()
     failed_on = []
 
-    def failing(cfg, rng, rules):
-        if rng.bit_generator.state["state"]["key"][1] == failing_chunk:
+    def failing(cfg, rng, rules, rows):
+        chunk = rng.bit_generator.state["state"]["key"][1]
+        if threading.current_thread() is not threading.main_thread():
+            worker_drawing.set()
+        elif chunk == 0:
+            assert worker_drawing.wait(timeout=60)
+        if chunk == failing_chunk:
             failed_on.append(threading.current_thread())
             raise RuntimeError(f"draw failed in chunk {failing_chunk}")
-        return original(cfg, rng, rules)
+        return original(cfg, rng, rules, rows)
 
     monkeypatch.setattr(simulate, "_power_values", failing)
     with pytest.raises(RuntimeError, match=f"chunk {failing_chunk}"):
@@ -621,6 +633,125 @@ def test_failed_draw_surfaces_and_next_estimate_works(monkeypatch, failing_chunk
     assert (failed_on[0] is threading.main_thread()) == (failing_chunk == 0)
     monkeypatch.undo()
     assert estimate_evm(cfg, samples, seed=97) == expected
+
+
+# plans of three estimates of one cell; every last chunk is partial, and at
+# CHUNK + 1 it holds one row
+PLAN_CELLS = [
+    pytest.param(SystemConfig(3, 2, SelectionRule.MAX_SIR), id="rayleigh"),
+    pytest.param(SystemConfig(2, 2, SelectionRule.MAX_SIR, Fading.nakagami(0.5)),
+                 id="nakagami-0.5"),
+    pytest.param(SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.6), id="correlated-0.6"),
+]
+PLAN_SAMPLES = (CHUNK - 1, CHUNK + 1, 2 * CHUNK + 5)
+
+
+@pytest.mark.parametrize("cfg", PLAN_CELLS)
+def test_plan_of_estimates_equals_serial_references(cfg):
+    requests = [(cfg, BOTH_RULES, samples, 100 + i) for i, samples in enumerate(PLAN_SAMPLES)]
+    assert (simulate.estimate_evm_batch(requests)
+            == [_serial_estimates(*request) for request in requests])
+
+
+def test_last_chunk_draws_no_interferer_slice_past_its_rows(monkeypatch):
+    counts = []
+    original = simulate._interference_power
+
+    def spy(rng, count, antennas, interferers):
+        counts.append(count)
+        return original(rng, count, antennas, interferers)
+
+    monkeypatch.setattr(simulate, "_interference_power", spy)
+    cfg = SystemConfig(3, 2, SelectionRule.MAX_SIR)
+    samples = CHUNK + 1000
+    estimates = estimate_evm_rules(cfg, BOTH_RULES, samples, seed=89)
+    # a full chunk, then slices of the second only as far as its 1000 rows
+    assert sum(counts) == samples
+    assert max(counts) <= simulate._SLICE // (cfg.antennas * cfg.interferers)
+    monkeypatch.undo()
+    assert estimates == _serial_estimates(cfg, BOTH_RULES, samples, seed=89)
+
+
+# shape 0.01 desired powers underflow to zero about 75 times a chunk
+ZERO_POWER = SystemConfig(1, 1, SelectionRule.MAX_SIGNAL, Fading.nakagami(0.01))
+
+
+def _serial_full_chunk_values(cfg, samples, seed):
+    # one rule, each chunk drawn in full; non-finite values are skipped and
+    # replaced by later ones, and each counts as rejected up to the last
+    # value a chunk gives the estimate. Returns the kept values per chunk
+    # and the rejected count.
+    stream = derive_seed(seed, "power")
+    chunks, kept, rejected = [], 0, 0
+    while kept < samples:
+        draw = draw_channels(cfg, _chunk_rng(stream, len(chunks)), CHUNK)
+        idx = select_antenna(draw.desired_power, draw.interference_power, cfg.rule)
+        rows = np.arange(CHUNK)
+        with np.errstate(divide="ignore", over="ignore"):
+            values = np.sqrt(draw.interference_power[rows, idx]
+                             / draw.desired_power[rows, idx])
+        finite = np.flatnonzero(np.isfinite(values))[:samples - kept]
+        rejected += (finite[-1] + 1 if finite.size == samples - kept else CHUNK) - finite.size
+        chunks.append(values[finite])
+        kept += finite.size
+    return chunks, int(rejected)
+
+
+@pytest.mark.parametrize("samples, seed", [
+    # the one chunk's first 3000 rows hold four zero powers
+    (3000, 1),
+    # chunk 0 rejects 74 rows, and the last chunk's 3000 rows hold two zeros
+    (CHUNK + 3000, 2),
+    # chunks 0 and 1 reject 146 rows, so one row of chunk 2 is not enough
+    (2 * CHUNK + 1, 2),
+])
+def test_rejections_in_a_partial_last_chunk_equal_serial_reference(samples, seed):
+    chunks, rejected = _serial_full_chunk_values(ZERO_POWER, samples, seed)
+    assert rejected > 0
+    # every kept value, as the shape-0.01 means rest on a few huge values
+    request = simulate._Request(derive_seed(seed, "power"), (ZERO_POWER.rule,), samples,
+                                CHUNK, functools.partial(simulate._power_values, ZERO_POWER),
+                                lambda values: values, "{rejected}")
+    parts, got_rejected = _collect([request])[0][ZERO_POWER.rule]
+    assert got_rejected == rejected
+    assert len(parts) == len(chunks)
+    assert all(np.array_equal(part, values) for part, values in zip(parts, chunks))
+    # and the estimate reduces them chunk by chunk
+    mean = math.fsum(float(values.sum()) for values in chunks) / samples
+    square_total = math.fsum(float(np.square(values).sum()) for values in chunks)
+    variance = max(0.0, (square_total - samples * mean * mean) / (samples - 1))
+    assert estimate_evm(ZERO_POWER, samples, seed=seed) == simulate.EvmEstimate(
+        mean, math.sqrt(variance / samples), samples, rejected)
+
+
+# the kept values of shape 0.001 reach 1e160, and their squares overflow
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_failure_mid_plan_cancels_the_rest_and_leaves_the_worker_idle(monkeypatch):
+    cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
+    expected = estimate_evm_rules(cfg, BOTH_RULES, 2 * CHUNK, seed=5)
+    # shape 0.001 powers underflow to zero about half the time, so the
+    # second estimate rejects more than 1% in its first chunk
+    degenerate = SystemConfig(1, 1, SelectionRule.MAX_SIR, Fading.nakagami(0.001))
+    requests = [(cfg, BOTH_RULES, 2 * CHUNK, 5), (degenerate, BOTH_RULES, 2 * CHUNK, 6),
+                (cfg, BOTH_RULES, 40 * CHUNK, 7)]
+    drawn = []
+    original = simulate._power_values
+
+    def counting(cfg, rng, rules, rows):
+        drawn.append(rows)
+        return original(cfg, rng, rules, rows)
+
+    monkeypatch.setattr(simulate, "_power_values", counting)
+    with pytest.raises(NumericalError, match="too degenerate"):
+        simulate.estimate_evm_batch(requests)
+    # most of the third estimate's 40 chunks are left undrawn, and nothing runs on
+    after = len(drawn)
+    assert 3 <= after < 20
+    time.sleep(0.2)
+    assert len(drawn) == after
+    assert simulate._worker[1].empty()
+    monkeypatch.undo()
+    assert estimate_evm_rules(cfg, BOTH_RULES, 2 * CHUNK, seed=5) == expected
 
 
 # 4096 slots make 256-block chunks
@@ -668,6 +799,17 @@ def test_symbol_chunks_drawn_ahead_equal_serial_reference(blocks):
     cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
     assert (estimate_evm_symbol_level_rules(cfg, BOTH_RULES, SYMBOL_SLOTS, blocks, seed=91)
             == _serial_symbol_estimates(cfg, BOTH_RULES, SYMBOL_SLOTS, blocks, seed=91))
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.6), id="correlated-0.6"),
+    pytest.param(SystemConfig(3, 2, SelectionRule.MAX_SIR, Fading.nakagami(2.0)),
+                 id="nakagami-2"),
+])
+def test_symbol_partial_last_chunk_equals_serial_reference(cfg):
+    blocks = SYMBOL_PER_CHUNK + 7
+    assert (estimate_evm_symbol_level_rules(cfg, BOTH_RULES, SYMBOL_SLOTS, blocks, seed=93)
+            == _serial_symbol_estimates(cfg, BOTH_RULES, SYMBOL_SLOTS, blocks, seed=93))
 
 
 @pytest.mark.parametrize("failing_chunk", (0, 1))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scevm import analytic, sweep
+from scevm import analytic, simulate, sweep
 from scevm.analytic import analytic_formula, formula_name
 from scevm.model import (
     ConfigError,
@@ -310,13 +310,13 @@ def test_two_rule_spec_equals_the_single_rule_specs(axis, values, base, rules):
 
 def test_two_rule_spec_draws_each_point_once(monkeypatch):
     calls = []
-    original = sweep.estimate_evm_rules
+    original = sweep.estimate_evm_batch
 
-    def counting(cfg, rules, samples, seed):
-        calls.append(tuple(rules))
-        return original(cfg, rules, samples, seed=seed)
+    def counting(requests):
+        calls.extend(tuple(rules) for _, rules, _, _ in requests)
+        return original(requests)
 
-    monkeypatch.setattr(sweep, "estimate_evm_rules", counting)
+    monkeypatch.setattr(sweep, "estimate_evm_batch", counting)
     (spec,) = preset("fig2", samples=2000)
     rows = run_sweep(spec)
     assert len(rows) == 2 * len(spec.values)
@@ -348,6 +348,20 @@ def test_fig2_output_is_frozen():
     text = emit_csv([row for spec in specs for row in run_sweep(spec)])
     assert hashlib.sha256(text.encode()).hexdigest() == FIG2_CSV_SHA256
     assert emit_plot_script(specs, csv_name="fig2.csv") == FIG2_PLOT
+
+
+# fig1 and fig3 at a sample count that leaves a partial last chunk, and seed
+# 3, as written when every chunk was drawn in full; a partial chunk must keep
+# every byte of the rows and their repr
+FIG1_FIG3_SHA256 = "227fe934ef70f96e65469eac783a60dcadba92fab82e3c9719e32dd11384f6d2"
+
+
+def test_fig1_and_fig3_output_is_frozen():
+    samples = simulate.CHUNK + 4099
+    specs = preset("fig1", samples=samples, seed=3) + preset("fig3", samples=samples, seed=3)
+    rows = [row for spec in specs for row in run_sweep(spec)]
+    text = emit_csv(rows) + repr(rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == FIG1_FIG3_SHA256
 
 
 def test_csv_header_and_round_trip():

@@ -44,13 +44,14 @@ slices gives the values of one fill, and its first rows are those of the
 whole fill; each row is reduced on its own, so slicing changes no bit. The
 power level draws a chunk's desired powers in full, as the stream orders
 them first, then draws each slice's interferers, only as far as the rows
-the job keeps, and selects and gathers that slice for every rule; a
-correlated pair draws each interferer over all rows, so its interference is
-drawn in full and selected slice by slice. The symbol level draws a chunk's
-gains and data indices in full and its interferer indices only as far as
-the kept rows, a slice at a time into one-byte arrays, about a megabyte per
-million symbols; the complex symbols exist one slice at a time, gathered
-once for every rule.
+the job keeps, and selects and gathers that slice for every rule. A
+correlated chunk is drawn in full, one antenna at a time into one reused
+buffer, and each antenna adds the power of the kept rows into its column.
+The symbol level draws a chunk's gains (the same correlated antennas, each
+copied out) and data indices in full and its interferer indices only as
+far as the kept rows, a slice at a time into one-byte arrays, about a
+megabyte per million symbols; the complex symbols exist one slice at a
+time, gathered once for every rule.
 
 Selecting the kept antenna is a comparison at two antennas (an argmax at
 three or more, nothing at one), and the kept powers are gathered from the
@@ -158,26 +159,31 @@ def _chunk_rng(stream_seed, chunk):
     return np.random.Generator(np.random.Philox(key=[stream_seed, chunk]))
 
 
-def _correlated_pair_gains(rng, count, rho, out=None, scratch=None):
-    """(count, 2) complex gains of correlated pairs, written into `out` if given.
+def _correlated_antennas(rng, count, rho, pairs):
+    """Each antenna's gains of `pairs` correlated pairs, in stream order.
 
-    h2 = rho h1 + sqrt(1 - rho^2) w reproduces E[h2 conj(h1)] = rho with
-    both margins standard complex normal. The real and imaginary parts are
-    formed in place: in each complex product the cross term is an exact
-    zero, so the parts carry the bits of the complex arithmetic. `scratch`,
-    if given, is a contiguous float array of `count` values to draw into.
+    Yields (pair, antenna, gains, scratch): `gains` is one (count,) complex
+    buffer that every step overwrites, `scratch` a (count,) float array free
+    until the next step. A pair takes four fills, h1's real and imaginary
+    parts then w's, and h2 = rho h1 + sqrt(1 - rho^2) w, formed over h1 in
+    place, has E[h2 conj(h1)] = rho with both margins standard complex
+    normal. In each complex product the cross term is an exact zero, so
+    forming the parts one at a time keeps the bits of complex arithmetic.
     """
-    gains = np.empty((count, 2), dtype=complex) if out is None else out
-    first, second = gains[:, 0], gains[:, 1]
+    gains = np.empty(count, dtype=complex)
+    normal = np.empty(count)
+    parts = (gains.real, gains.imag)
     scale = math.sqrt((1.0 - rho) * (1.0 + rho))
-    normal = np.empty(count) if scratch is None else scratch
-    for part in (first.real, first.imag):
-        np.multiply(rng.standard_normal(out=normal), _INV_SQRT2, out=part)
-    for part, before in ((second.real, first.real), (second.imag, first.imag)):
-        np.multiply(rng.standard_normal(out=normal), _INV_SQRT2, out=part)
-        part *= scale
-        part += np.multiply(before, rho, out=normal)
-    return gains
+    for pair in range(pairs):
+        for part in parts:
+            np.multiply(rng.standard_normal(out=normal), _INV_SQRT2, out=part)
+        yield pair, 0, gains, normal
+        for part in parts:
+            np.multiply(rng.standard_normal(out=normal), _INV_SQRT2, out=normal)
+            normal *= scale
+            part *= rho
+            part += normal
+        yield pair, 1, gains, normal
 
 
 def _sum_interferers(power):
@@ -222,18 +228,13 @@ def _power_rows(cfg, rng, count, rows=None):
     antennas, interferers = cfg.antennas, cfg.interferers
     rows = count if rows is None else rows
     if cfg.rho > 0.0:
-        # one gains buffer serves every pair, and one power buffer holds each
-        # interferer pair's power and, before it, the pair's normal draws
-        power = np.empty((count, 2))
-        scratch = power.reshape(-1)[:count]
-        gains = _correlated_pair_gains(rng, count, cfg.rho, scratch=scratch)
-        desired = np.abs(gains[:rows])
-        np.square(desired, out=desired)
-        interference = np.zeros((rows, 2))
-        for _ in range(interferers):
-            _correlated_pair_gains(rng, count, cfg.rho, out=gains, scratch=scratch)
-            interference += np.square(np.abs(gains[:rows], out=power[:rows]),
-                                      out=power[:rows])
+        # each antenna's power of the first rows is added into its column,
+        # the desired pair's into `desired`, the interferer pairs' in order
+        desired, interference = np.zeros((rows, 2)), np.zeros((rows, 2))
+        for pair, antenna, gains, scratch in _correlated_antennas(
+                rng, count, cfg.rho, interferers + 1):
+            power = np.abs(gains[:rows], out=scratch[:rows])
+            (interference if pair else desired)[:, antenna] += np.square(power, out=power)
         spans = _row_slices(rows, _SLICE // 2)
         return desired, ((span, interference[span]) for span in spans)
     if cfg.fading.is_rayleigh_equivalent:
@@ -614,8 +615,12 @@ def _draw_gains(cfg, rng, count):
     # complex version of draw_channels for the waveform path
     antennas, interferers = cfg.antennas, cfg.interferers
     if cfg.rho > 0.0:
-        gains = [_correlated_pair_gains(rng, count, cfg.rho) for _ in range(interferers + 1)]
-        return gains[0], np.stack(gains[1:], axis=2)
+        desired = np.empty((count, 2), dtype=complex)
+        interferer = np.empty((count, 2, interferers), dtype=complex)
+        for pair, antenna, gains, _ in _correlated_antennas(rng, count, cfg.rho,
+                                                            interferers + 1):
+            (interferer[:, antenna, pair - 1] if pair else desired[:, antenna])[:] = gains
+        return desired, interferer
     if cfg.fading.is_rayleigh_equivalent:
         desired = (rng.standard_normal((count, antennas))
                    + 1j * rng.standard_normal((count, antennas))) * _INV_SQRT2

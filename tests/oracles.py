@@ -1,13 +1,18 @@
-"""Independent references for the defining EVM integral, shared by tests.
+"""Independent references shared by tests.
 
-`quad_oracle` evaluates the integral with scipy's QUADPACK and incomplete
-gamma and beta functions, none of which scevm uses; `exact_single_antenna`
-is the closed form at L = 1.
+`quad_oracle` evaluates the defining EVM integral with scipy's QUADPACK
+and incomplete gamma and beta functions, none of which scevm uses;
+`exact_single_antenna` is the closed form at L = 1. `correlated_pairs`
+forms the Monte Carlo's correlated gain pairs from whole fills.
 """
 
 import math
 
+import numpy as np
+
 from scevm.model import SelectionRule
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def exact_single_antenna(m, interferers):
@@ -49,3 +54,22 @@ def quad_oracle(rule, antennas, interferers, m, rtol=1e-10):
     if not (math.isfinite(value) and 0.5 * near_error + far_error <= rtol * value):
         return None
     return scale * value
+
+
+def correlated_pairs(rng, count, rho, pairs):
+    """`pairs` correlated (count, 2) complex gain pairs, in the simulator's stream order.
+
+    Each pair takes four whole fills of standard normals: the real and
+    imaginary parts of h1, then those of w; h2 = sqrt(1 - rho^2) w + rho h1.
+    """
+    scale = math.sqrt((1.0 - rho) * (1.0 + rho))
+    gains = []
+    for _ in range(pairs):
+        pair = np.empty((count, 2), dtype=complex)
+        pair[:, 0].real = rng.standard_normal(count) * _INV_SQRT2
+        pair[:, 0].imag = rng.standard_normal(count) * _INV_SQRT2
+        for part, first in ((pair[:, 1].real, pair[:, 0].real),
+                            (pair[:, 1].imag, pair[:, 0].imag)):
+            part[:] = rng.standard_normal(count) * _INV_SQRT2 * scale + first * rho
+        gains.append(pair)
+    return gains

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import correlated_pairs
 
 import scevm
 from scevm import analytic, simulate, verify
@@ -221,7 +222,7 @@ def test_interferer_correlation_is_part_of_the_model():
     assert abs((coupled.mean - exact) / coupled.std_error) < 4.0
     count = 500000
     rng = _chunk_rng(31, 0)
-    desired = np.square(np.abs(simulate._correlated_pair_gains(rng, count, rho)))
+    desired = np.square(np.abs(correlated_pairs(rng, count, rho, 1)[0]))
     interference = rng.standard_exponential((count, 2))
     idx = select_antenna(desired, interference, SelectionRule.MAX_SIR)
     rows = np.arange(count)
@@ -453,6 +454,27 @@ def test_verification_equals_per_rule_reference(monkeypatch):
                         lambda requests: [per_rule(*request) for request in requests])
     monkeypatch.setattr(verify, "estimate_evm_symbol_level_rules", per_rule_symbol)
     assert text(verify.run_verification(**args)) == shared
+
+
+# correlated powers: the pair kernel forms h2 over h1 in place, so its
+# operand order must give the bits of pairs formed from whole fills. 70001
+# blocks span three of the correlated path's row slices.
+@pytest.mark.parametrize("rho", (0.3, 0.999))
+@pytest.mark.parametrize("interferers", (1, 3))
+@pytest.mark.parametrize("rows", (70001, 40000))
+def test_correlated_powers_equal_pairs_from_whole_fills(rows, interferers, rho):
+    count = 70001
+    cfg = SystemConfig(2, interferers, SelectionRule.MAX_SIR, rho=rho)
+    desired, slices = simulate._power_rows(cfg, _chunk_rng(89, 1), count, rows)
+    interference = np.concatenate([part for _, part in slices])
+    pairs = [np.square(np.abs(pair[:rows]))
+             for pair in correlated_pairs(_chunk_rng(89, 1), count, rho, interferers + 1)]
+    assert np.array_equal(desired, pairs[0])
+    assert np.array_equal(interference, sum(pairs[1:]))
+    gains = simulate._draw_gains(cfg, _chunk_rng(89, 1), count)
+    pairs = correlated_pairs(_chunk_rng(89, 1), count, rho, interferers + 1)
+    assert np.array_equal(gains[0], pairs[0])
+    assert np.array_equal(gains[1], np.stack(pairs[1:], axis=2))
 
 
 # sliced draws: the row slices of _interference_power, summed in place, give
@@ -848,8 +870,11 @@ MEMORY_CASES = [
         SystemConfig(6, 2, SelectionRule.MAX_SIR, Fading.nakagami(2.0)), BOTH_RULES,
         200000), 20.0, id="nakagami-L6-M2"),
     pytest.param(lambda: estimate_evm_rules(
-        SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.6), BOTH_RULES, 200000), 23.0,
+        SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.6), BOTH_RULES, 200000), 16.0,
         id="correlated"),
+    pytest.param(lambda: estimate_evm_rules(
+        SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.9), BOTH_RULES, 10 ** 6), 17.0,
+        id="correlated-grid-cell"),
 ]
 
 
@@ -889,6 +914,24 @@ def test_estimates_are_frozen():
     assert repr(symbol[SelectionRule.MAX_SIGNAL]) == (
         "EvmEstimate(mean=1.3353299833136516, std_error=0.03798417216838246, "
         "samples=600, rejected=0)")
+
+
+def test_correlated_symbol_level_estimates_are_frozen():
+    # values of the pair-at-a-time gains, before each antenna was formed in
+    # one reused buffer; one slot per block makes one chunk of 2**20 blocks
+    cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.6)
+    frozen = {
+        2000: {SelectionRule.MAX_SIR: (1.3781337909546771, 0.03901976597098273),
+               SelectionRule.MAX_SIGNAL: (1.461371475792582, 0.04162288852723513)},
+        1: {SelectionRule.MAX_SIR: (1.2801686079553474, 0.042310973535956),
+            SelectionRule.MAX_SIGNAL: (1.377959662489886, 0.05048215845627418)},
+    }
+    for slots, means in frozen.items():
+        estimates = estimate_evm_symbol_level_rules(cfg, BOTH_RULES, slots, 600, seed=3)
+        for rule in BOTH_RULES:
+            mean, std_error = means[rule]
+            assert repr(estimates[rule]) == (f"EvmEstimate(mean={mean!r}, std_error="
+                                             f"{std_error!r}, samples=600, rejected=0)")
 
 
 def _fresh_python(code):

@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from .analytic import analytic_formula, formula_name
-from .model import ConfigError, Fading, NumericalError, SelectionRule, SystemConfig
+from .model import (ConfigError, Fading, NumericalError, SelectionRule, SystemConfig,
+                    check_number)
 from .simulate import DEFAULT_SEED, check_seed, estimate_evm
 from .sweep import emit_csv, emit_plot_script, preset, run_sweep
 from .verify import run_verification
@@ -106,14 +107,6 @@ def _resolve_eval_settings(args):
     return settings
 
 
-def _number(settings, key):
-    # a config file's value as given: float() would read true as 1 and "0.5" as 0.5
-    value = settings[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _system_config(settings):
     rule_token = str(settings["rule"]).replace("-", "_")
     try:
@@ -123,7 +116,7 @@ def _system_config(settings):
             f"unknown rule {settings['rule']!r}; "
             f"choose max-sir or max-signal") from None
     kind = settings["fading"]
-    shape = _number(settings, "md")
+    shape = check_number(settings["md"], "md")
     if kind == "rayleigh":
         if shape != 1.0:
             raise ConfigError("md is a nakagami parameter; rayleigh fixes it at 1")
@@ -132,8 +125,7 @@ def _system_config(settings):
         fading = Fading.nakagami(shape)
     else:
         raise ConfigError(f"unknown fading {kind!r}; choose rayleigh or nakagami")
-    return SystemConfig(settings["L"], settings["M"], rule, fading,
-                        _number(settings, "rho"))
+    return SystemConfig(settings["L"], settings["M"], rule, fading, settings["rho"])
 
 
 def _exact_text(x):

@@ -9,6 +9,7 @@ Nakagami-m faded; antenna pairs may be correlated with coefficient rho.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +39,16 @@ def is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def check_number(value, name):
+    """The value as a float; a bool, like any non-real value, is a ConfigError.
+
+    float() would read True as 1 and "0.5" as 0.5.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 class SelectionRule(str, Enum):
     """Antenna selection rule applied per block."""
 
@@ -57,6 +68,7 @@ class Fading:
     m: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "m", check_number(self.m, "fading shape m"))
         if self.kind not in ("rayleigh", "nakagami"):
             raise ConfigError(f"unknown fading kind {self.kind!r}")
         if not (0.0 < self.m < math.inf):
@@ -70,7 +82,7 @@ class Fading:
 
     @classmethod
     def nakagami(cls, m):
-        return cls("nakagami", float(m))
+        return cls("nakagami", m)
 
     @property
     def is_rayleigh_equivalent(self):
@@ -101,6 +113,7 @@ class SystemConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "rule", SelectionRule(self.rule))
+        object.__setattr__(self, "rho", check_number(self.rho, "rho"))
         for name in ("antennas", "interferers"):
             if not is_count(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer >= 1, "

@@ -21,42 +21,13 @@ bit-for-bit the one its single-rule estimator gives. Interferer powers are
 summed per antenna in interferer index order, which can differ from numpy's
 pairwise `sum` in the last bit for eight or more interferers.
 
-Estimates are drawn as a plan of chunk jobs. With no block rejected, an
-estimate of `wanted` values takes ceil(wanted / size) chunks, the last of
-which needs only the rows past the others; rejections only add chunks, so a
-serial run draws every planned chunk too. `estimate_evm_batch` plans many
-estimates at once (the `verify` grid, a sweep's points), the other
-estimators one. The caller and one module-level worker thread each take the
-next job of the plan that no thread has taken, so neither waits at the end
-of an estimate for the other's chunk. A job draws its chunk, keeps the
-finite values of its rows and reduces them, as the serial loop would; the
-caller tallies the jobs in plan order. Where a rejection leaves a rule
-needing more than a partial chunk gives, the caller draws that chunk in
-full and keeps it as the serial loop does, and chunks past the plan are
-drawn serially, so every result is the serial one bit for bit. The two
-threads overlap because numpy releases the interpreter lock while it fills
-and combines arrays; a third would hold a third chunk in memory, for a core
-that two-core machines do not have.
-
-A chunk is held in row slices of about `_SLICE` values wherever the
-stream allows. Generator fills are sequential, so a fill split into row
-slices gives the values of one fill, and its first rows are those of the
-whole fill; each row is reduced on its own, so slicing changes no bit. The
-power level draws a chunk's desired powers in full, as the stream orders
-them first, then draws each slice's interferers, only as far as the rows
-the job keeps, and selects and gathers that slice for every rule. A
-correlated chunk is drawn in full, one antenna at a time into one reused
-buffer, and each antenna adds the power of the kept rows into its column.
-The symbol level draws a chunk's gains (the same correlated antennas, each
-copied out) and data indices in full and its interferer indices only as
-far as the kept rows, a slice at a time into one-byte arrays, about a
-megabyte per million symbols; the complex symbols exist one slice at a
-time, gathered once for every rule.
-
-Selecting the kept antenna is a comparison at two antennas (an argmax at
-three or more, nothing at one), and the kept powers are gathered from the
-flattened arrays at index + row * antennas; both give the bits of numpy's
-rowwise argmax and two-dimensional indexing.
+Each estimator runs on the caller and one module-level worker thread,
+which the first estimate of two or more chunks starts; `_collect` gives
+the plan they share. `estimate_evm_batch` plans many estimates at once (the
+`verify` grid, a sweep's points). Every result is bit for bit the one a
+one-thread run gives. A chunk is held in row slices of about `_SLICE`
+values wherever the stream allows; a fill split into row slices gives the
+values of one fill, so slicing changes no bit.
 """
 
 import functools
@@ -88,14 +59,6 @@ _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) * _INV_SQRT2
 _QAM16 = np.array([complex(a, b) for a in (-3, -1, 1, 3)
                    for b in (-3, -1, 1, 3)]) / math.sqrt(10.0)
 CONSTELLATIONS = {"qpsk": _QPSK, "16qam": _QAM16}
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One batch of post-fading powers, one row per fading block."""
-
-    desired_power: np.ndarray       # (count, antennas)
-    interference_power: np.ndarray  # (count, antennas), summed over interferers
 
 
 @dataclass(frozen=True)
@@ -246,31 +209,6 @@ def _power_rows(cfg, rng, count, rows=None):
     return desired[:rows], ((span, _interference_power(rng, span.stop - span.start,
                                                        antennas, interferers))
                             for span in spans)
-
-
-def draw_channels(cfg, rng, count):
-    """Draw `count` fading blocks of per-antenna powers.
-
-    Desired powers follow cfg.fading (unit mean); each interferer
-    contributes a unit-mean exponential power, summed per antenna. With
-    cfg.rho > 0 the two antennas' gains form correlated complex-normal
-    pairs, for the desired user and every interferer alike: the antenna
-    spacing correlates every signal that reaches the pair.
-
-    Args:
-        cfg: receiver configuration.
-        rng: numpy Generator to consume.
-        count: number of fading blocks.
-
-    Returns:
-        ChannelDraw of shape (count, cfg.antennas) arrays.
-    """
-    _check_config(cfg)
-    desired, slices = _power_rows(cfg, rng, count)
-    interference = np.empty(desired.shape)
-    for rows, part in slices:
-        interference[rows] = part
-    return ChannelDraw(desired, interference)
 
 
 def select_antenna(desired_power, interference_power, rule):
@@ -431,11 +369,11 @@ def _keep(values, need):
 
 
 def _planned_chunk(request, chunk, rows):
-    # every finite value of the chunk's first `rows` blocks, reduced, per rule
+    # per rule, the serial loop's (reduced, kept, skipped) of the chunk's first rows
     kept = []
     for values in request.values(chunk, request.rules, rows):
-        values, _ = _keep(values, rows)
-        kept.append((request.reduce(values), values.size))
+        values, skipped = _keep(values, rows)
+        kept.append((request.reduce(values), values.size, skipped))
     return kept
 
 
@@ -453,14 +391,17 @@ def _collect(requests):
     rejected: ceil(wanted / size) chunks, the last of which draws only the
     rows it keeps. Rejections only add chunks, so a serial run draws every
     planned chunk too. The caller and the worker thread each take the next
-    chunk of the plan that no thread has taken; a job keeps and reduces its
-    finite values, and the caller tallies the jobs in plan order. Where an
-    earlier rejection left a rule needing more than a partial chunk's rows,
-    or the partial chunk holds too few finite values, the caller draws that
-    chunk in full for the rule and keeps it as a serial run does; chunks
-    past the plan are drawn serially on the caller. So every result is the
+    chunk of the plan that no thread has taken, so neither waits at the end
+    of an estimate for the other's chunk. A job keeps and reduces its
+    finite values, and the caller tallies the jobs in plan order. A partial
+    last chunk stands for the full one only where it holds all that a rule
+    still needs. Otherwise the caller's serial loop draws it in full for
+    that rule, and then any chunks past the plan. So every result is the
     serial one bit for bit. An exception raised by a job is raised here,
-    and no job runs on once this returns or raises.
+    and no job runs on once this returns or raises. The two threads overlap
+    because numpy releases the interpreter lock while it fills and combines
+    arrays; a third would hold a third chunk in memory, for a core that
+    two-core machines do not have.
 
     Returns:
         per request, {rule: (list of reduce() results in chunk order,
@@ -492,28 +433,18 @@ def _collect(requests):
                     raise NumericalError(request.failure.format(
                         rejected=rejected[rule], wanted=wanted))
 
-            def keep(rule, values):
-                # the serial loop's step for a chunk drawn in full
-                values, skipped = _keep(values, wanted - kept[rule])
-                tally(rule, request.reduce(values), values.size, skipped)
-
-            for chunk, rows in chunks:
-                outcome = plan.result(index)
+            for _, rows in chunks:
+                for rule, (part, count, skipped) in zip(rules, plan.result(index)):
+                    # a partial chunk counts only if it holds all the rule needs
+                    if rows == request.size or count >= wanted - kept[rule]:
+                        tally(rule, part, count, skipped)
                 index += 1
-                # a partial chunk stands for the full one only if its rows are
-                # all finite and all that the rule still needs
-                redo = [rule for rule, (_, count) in zip(rules, outcome)
-                        if rows < request.size and count < wanted - kept[rule]]
-                drawn = dict(zip(redo, request.values(chunk, redo))) if redo else {}
-                for rule, (part, count) in zip(rules, outcome):
-                    if rule in drawn:
-                        keep(rule, drawn.pop(rule))
-                    else:
-                        tally(rule, part, count, rows - count)
-            chunk = len(chunks)
+            # the serial loop, from the partial last chunk if there is one
+            chunk = len(chunks) - (chunks[-1][1] < request.size)
             while active := [rule for rule in rules if kept[rule] < wanted]:
                 for rule, values in zip(active, request.values(chunk, active)):
-                    keep(rule, values)
+                    values, skipped = _keep(values, wanted - kept[rule])
+                    tally(rule, request.reduce(values), values.size, skipped)
                 chunk += 1
             collected.append({rule: (parts[rule], rejected[rule]) for rule in rules})
     finally:
@@ -612,7 +543,8 @@ def estimate_evm(cfg, samples, seed=DEFAULT_SEED):
 
 
 def _draw_gains(cfg, rng, count):
-    # complex version of draw_channels for the waveform path
+    # each block's complex gains for the waveform path: desired (count,
+    # antennas), interferers (count, antennas, interferers)
     antennas, interferers = cfg.antennas, cfg.interferers
     if cfg.rho > 0.0:
         desired = np.empty((count, 2), dtype=complex)

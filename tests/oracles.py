@@ -4,12 +4,16 @@
 and incomplete gamma and beta functions, none of which scevm uses;
 `exact_single_antenna` is the closed form at L = 1. `correlated_pairs`
 forms the Monte Carlo's correlated gain pairs from whole fills.
+`draw_channels` gives the power estimator's draws of a chunk as whole
+arrays.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from scevm import simulate
 from scevm.model import SelectionRule
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -73,3 +77,26 @@ def correlated_pairs(rng, count, rho, pairs):
             part[:] = rng.standard_normal(count) * _INV_SQRT2 * scale + first * rho
         gains.append(pair)
     return gains
+
+
+@dataclass(frozen=True)
+class ChannelDraw:
+    """One batch of post-fading powers, one row per fading block."""
+
+    desired_power: np.ndarray       # (count, antennas)
+    interference_power: np.ndarray  # (count, antennas), summed over interferers
+
+
+def draw_channels(cfg, rng, count):
+    """`count` fading blocks of per-antenna powers, as the power estimator draws them.
+
+    Desired powers follow cfg.fading (unit mean); each interferer
+    contributes a unit-mean exponential power, summed per antenna. With
+    cfg.rho > 0 the two antennas' gains form correlated complex-normal
+    pairs, for the desired user and every interferer alike.
+    """
+    desired, slices = simulate._power_rows(cfg, rng, count)
+    interference = np.empty(desired.shape)
+    for rows, part in slices:
+        interference[rows] = part
+    return ChannelDraw(desired, interference)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from scevm.model import (
@@ -15,6 +16,7 @@ from scevm.model import (
     SystemConfig,
     UnsupportedDomainError,
 )
+from scevm.sweep import cell_seed
 
 
 def test_error_hierarchy():
@@ -33,6 +35,8 @@ def test_fading_constructors():
     assert nak.kind == "nakagami" and nak.m == 2.5
     assert not nak.is_rayleigh_equivalent
     assert Fading.nakagami(1.0).is_rayleigh_equivalent
+    with pytest.raises(ConfigError):
+        Fading.nakagami("2")
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -41,6 +45,10 @@ def test_fading_constructors():
     {"kind": "nakagami", "m": -1.0},
     {"kind": "nakagami", "m": math.inf},
     {"kind": "rayleigh", "m": 2.0},
+    # bool is an int subclass, but not a shape
+    {"kind": "nakagami", "m": True},
+    {"kind": "nakagami", "m": "2"},
+    {"kind": "nakagami", "m": None},
 ])
 def test_fading_rejects(kwargs):
     with pytest.raises(ConfigError):
@@ -68,9 +76,14 @@ def test_system_config_defaults_and_rule_coercion():
     # bool is an int subclass, but not a count
     {"antennas": True, "interferers": 1, "rule": "max_sir"},
     {"antennas": 2, "interferers": True, "rule": "max_sir"},
+    # float() would read True as 1, the fully correlated pair
+    {"antennas": 2, "interferers": 1, "rule": "max_sir", "rho": True},
+    {"antennas": 2, "interferers": 1, "rule": "max_sir", "rho": np.bool_(True)},
+    {"antennas": 2, "interferers": 1, "rule": "max_sir", "rho": "0.5"},
+    {"antennas": 2, "interferers": 1, "rule": "max_sir", "rho": None},
 ])
 def test_system_config_rejects(kwargs):
-    with pytest.raises((ConfigError, ValueError)):
+    with pytest.raises(ConfigError):
         SystemConfig(**kwargs)
 
 
@@ -90,3 +103,12 @@ def test_configs_frozen():
 def test_rho_one_is_a_valid_config():
     cfg = SystemConfig(2, 3, "max_signal", rho=1.0)
     assert cfg.rho == 1.0
+
+
+def test_real_parameters_are_stored_as_floats():
+    cfg = SystemConfig(2, 1, "max_sir", rho=0)
+    assert type(cfg.rho) is float
+    assert type(SystemConfig(2, 1, "max_sir", rho=np.float64(0.5)).rho) is float
+    assert type(Fading.nakagami(2).m) is float and Fading("nakagami", 2).m == 2.0
+    # seeds hash str(value), so an int rho kept as given would draw its own stream
+    assert cell_seed(1, cfg) == cell_seed(1, SystemConfig(2, 1, "max_sir", rho=0.0))

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import correlated_pairs
+from oracles import ChannelDraw, correlated_pairs, draw_channels
 
 import scevm
 from scevm import analytic, simulate, verify
@@ -24,7 +24,6 @@ from scevm.simulate import (
     _collect,
     _sum_interferers,
     derive_seed,
-    draw_channels,
     estimate_evm,
     estimate_evm_rules,
     estimate_evm_symbol_level,
@@ -246,8 +245,6 @@ def test_estimate_validates_arguments():
         estimate_evm(RAYLEIGH_21_SIR, 1)
     with pytest.raises(ConfigError):
         estimate_evm(RAYLEIGH_21_SIR, 2.5)
-    with pytest.raises(ConfigError):
-        draw_channels("not a config", _chunk_rng(1, 0), 10)
 
 
 def test_symbol_level_matches_closed_forms():
@@ -376,9 +373,15 @@ def test_symbol_level_shared_draws_equal_single_rule_estimates(cfg):
         assert shared[rule] == single, rule
 
 
-def test_rules_stop_taking_chunks_independently():
-    # max-SIR loses the first block of every chunk, so it needs a third
-    # chunk where max-signal is done after two; neither sees the other
+@pytest.mark.parametrize("wanted, drawn, sir_parts, sir_rejected", [
+    # max-SIR needs a third chunk where max-signal is done after two
+    pytest.param(400, [200, 200, 200], 3, 3, id="400"),
+    # both rules take the last chunk's 100 rows; max-signal keeps them, and
+    # max-SIR, one short, redraws that chunk in full
+    pytest.param(300, [100, 200, 200], 2, 2, id="300"),
+])
+def test_rules_stop_taking_chunks_independently(wanted, drawn, sir_parts, sir_rejected):
+    # max-SIR loses the first block of every chunk; neither rule sees the other
     draws = []
 
     def chunk_values(rng, rules, rows):
@@ -395,19 +398,26 @@ def test_rules_stop_taking_chunks_independently():
 
     def run(rules):
         draws.clear()
-        request = simulate._Request(5, rules, 400, 200, chunk_values, lambda v: v,
+        request = simulate._Request(5, rules, wanted, 200, chunk_values, lambda v: v,
                                     "{rejected}")
-        return _collect([request])[0], len(draws)
+        return _collect([request])[0], sorted(draws)
 
-    shared, shared_chunks = run(BOTH_RULES)
-    assert shared_chunks == 3
-    for rule, chunks in ((SelectionRule.MAX_SIR, 3), (SelectionRule.MAX_SIGNAL, 2)):
-        single, single_chunks = run((rule,))
-        assert single_chunks == chunks
+    shared, shared_draws = run(BOTH_RULES)
+    assert shared_draws == drawn
+    # what a serial loop keeps: every chunk in full, finite values only
+    full_chunks = [_chunk_rng(5, chunk).standard_normal(200) for chunk in range(3)]
+    for rule, alone, chunks, rejected_count in (
+            (SelectionRule.MAX_SIR, drawn, sir_parts, sir_rejected),
+            (SelectionRule.MAX_SIGNAL, drawn[:2], 2, 0)):
+        single, single_draws = run((rule,))
+        assert single_draws == alone
         parts, rejected = shared[rule]
         assert len(parts) == chunks
-        assert rejected == single[rule][1] == (3 if rule is SelectionRule.MAX_SIR else 0)
+        assert rejected == single[rule][1] == rejected_count
         assert np.array_equal(np.concatenate(parts), np.concatenate(single[rule][0]))
+        first = 1 if rule is SelectionRule.MAX_SIR else 0
+        serial = np.concatenate([values[first:] for values in full_chunks])[:wanted]
+        assert np.array_equal(np.concatenate(parts), serial)
 
 
 def test_rules_are_validated():
@@ -586,7 +596,7 @@ def test_flat_gather_equals_two_dimensional_indexing(antennas):
     rng = np.random.default_rng(100 + antennas)
     rows = np.arange(CHUNK)
     draws = (draw_channels(cfg, rng, CHUNK),
-             simulate.ChannelDraw(*_degenerate_draw(rng, CHUNK, antennas)))
+             ChannelDraw(*_degenerate_draw(rng, CHUNK, antennas)))
     for draw in draws:
         desired, interference = draw.desired_power, draw.interference_power
         for rule in BOTH_RULES:
@@ -836,15 +846,22 @@ def test_symbol_partial_last_chunk_equals_serial_reference(cfg):
 
 @pytest.mark.parametrize("failing_chunk", (0, 1))
 def test_failed_symbol_chunk_surfaces_and_next_estimate_works(monkeypatch, failing_chunk):
-    # chunk 0 is drawn on the calling thread while the worker draws chunk 1
+    # the caller takes chunk 0 and stays in it until the worker draws, so the
+    # worker has taken chunk 1: a failure surfaces from either thread
     cfg = SystemConfig(2, 1, SelectionRule.MAX_SIR)
     blocks = 3 * SYMBOL_PER_CHUNK
     expected = estimate_evm_symbol_level(cfg, SYMBOL_SLOTS, blocks, seed=97)
     original = simulate._draw_gains
+    worker_drawing = threading.Event()
     failed_on = []
 
     def failing(cfg, rng, count):
-        if rng.bit_generator.state["state"]["key"][1] == failing_chunk:
+        chunk = rng.bit_generator.state["state"]["key"][1]
+        if threading.current_thread() is not threading.main_thread():
+            worker_drawing.set()
+        elif chunk == 0:
+            assert worker_drawing.wait(timeout=60)
+        if chunk == failing_chunk:
             failed_on.append(threading.current_thread())
             raise RuntimeError(f"draw failed in chunk {failing_chunk}")
         return original(cfg, rng, count)

@@ -21,6 +21,7 @@ analytic_formula, at the end, decide which function covers a configuration.
 import math
 
 from .model import (
+    ConfigError,
     DivergentMomentError,
     Fading,
     NumericalError,
@@ -28,7 +29,7 @@ from .model import (
     SeriesRangeError,
     SystemConfig,
     UnsupportedDomainError,
-    is_count,
+    check_count,
 )
 from .quadrature import integrate_semi_infinite
 from .specfun import gamma_ratio, log_gamma, regularized_gamma_p
@@ -43,8 +44,11 @@ _MAX_CANCELLATION = 2e6
 
 
 def _validate_count(name, value):
-    if not is_count(value):
-        raise UnsupportedDomainError(f"{name} must be an integer >= 1, got {value!r}")
+    # the count as an int, as SystemConfig takes it
+    try:
+        return check_count(value, name, 1)
+    except ConfigError as error:
+        raise UnsupportedDomainError(str(error)) from None
 
 
 def sir_cdf_single_antenna(x, interferers, fading):
@@ -63,7 +67,7 @@ def sir_cdf_single_antenna(x, interferers, fading):
     Returns:
         P(SIR <= x) in [0, 1].
     """
-    _validate_count("interferers", interferers)
+    interferers = _validate_count("interferers", interferers)
     if not isinstance(fading, Fading):
         raise UnsupportedDomainError(f"fading must be a Fading, got {fading!r}")
     if not (x >= 0.0):
@@ -204,8 +208,8 @@ def evm_max_sir_rayleigh(antennas, interferers):
     Raises:
         SeriesRangeError: if the sum cannot be trusted to 1e-9 relative.
     """
-    _validate_count("antennas", antennas)
-    _validate_count("interferers", interferers)
+    antennas = _validate_count("antennas", antennas)
+    interferers = _validate_count("interferers", interferers)
     logs = [math.log(math.comb(antennas, k)) + log_gamma(k * interferers + 0.5)
             - log_gamma(k * interferers) for k in range(1, antennas + 1)]
     peak = max(logs)
@@ -224,8 +228,8 @@ def evm_max_signal_rayleigh(antennas, interferers):
     Raises:
         SeriesRangeError: if the sum cannot be trusted to 1e-9 relative.
     """
-    _validate_count("antennas", antennas)
-    _validate_count("interferers", interferers)
+    antennas = _validate_count("antennas", antennas)
+    interferers = _validate_count("interferers", interferers)
     middle = math.comb(antennas - 1, (antennas - 1) // 2)
     total = _alternating_sum(
         [math.comb(antennas - 1, n) / middle * math.sqrt(math.pi / (n + 1.0))
@@ -256,7 +260,7 @@ def evm_max_signal_correlated(rho, interferers):
     Returns:
         The EVM.
     """
-    _validate_count("interferers", interferers)
+    interferers = _validate_count("interferers", interferers)
     if not (0.0 <= rho < 1.0):
         raise UnsupportedDomainError(
             f"rho must lie in [0, 1), got {rho}; use evm_fully_correlated at rho = 1")
@@ -287,7 +291,7 @@ def evm_fully_correlated(interferers):
     Returns:
         The EVM.
     """
-    _validate_count("interferers", interferers)
+    interferers = _validate_count("interferers", interferers)
     return _SQRT_PI * gamma_ratio(interferers + 0.5, interferers)
 
 

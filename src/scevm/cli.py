@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .analytic import analytic_formula, formula_name
 from .model import (ConfigError, Fading, NumericalError, SelectionRule, SystemConfig,
-                    check_number)
-from .simulate import DEFAULT_SEED, check_seed, estimate_evm
+                    check_number, check_seed)
+from .simulate import DEFAULT_SEED, estimate_evm
 from .sweep import emit_csv, emit_plot_script, preset, run_sweep
 from .verify import run_verification
 

@@ -10,8 +10,11 @@ Nakagami-m faded; antenna pairs may be correlated with coefficient rho.
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -34,9 +37,37 @@ class SeriesRangeError(NumericalError):
     """An alternating series would lose all significant digits."""
 
 
-def is_count(value):
-    """True for an int >= 1; bool is an int subclass but not a count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _as_int(value):
+    # Python and numpy integers as an int, else None; bool is an int
+    # subclass but neither a seed nor a count
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def check_seed(seed):
+    """The seed as an int; Python and numpy integers pass, all else is a ConfigError.
+
+    int() would truncate 1.9 to seed 1 and take True for seed 1, silently
+    aliasing another stream; bool is an int subclass but not a seed, and a
+    float is refused even when whole.
+    """
+    integer = _as_int(seed)
+    if integer is None:
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    return integer
+
+
+def check_count(value, name, minimum):
+    """The count as an int >= minimum; Python and numpy integers pass, all else
+    (a bool or a whole float included) is a ConfigError."""
+    count = _as_int(value)
+    if count is None or count < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return count
 
 
 def check_number(value, name):
@@ -115,9 +146,7 @@ class SystemConfig:
         object.__setattr__(self, "rule", SelectionRule(self.rule))
         object.__setattr__(self, "rho", check_number(self.rho, "rho"))
         for name in ("antennas", "interferers"):
-            if not is_count(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer >= 1, "
-                                  f"got {getattr(self, name)!r}")
+            object.__setattr__(self, name, check_count(getattr(self, name), name, 1))
         if not isinstance(self.fading, Fading):
             raise ConfigError("fading must be a Fading instance")
         if not (0.0 <= self.rho <= 1.0):

@@ -21,26 +21,25 @@ bit-for-bit the one its single-rule estimator gives. Interferer powers are
 summed per antenna in interferer index order, which can differ from numpy's
 pairwise `sum` in the last bit for eight or more interferers.
 
-Each estimator runs on the caller and one module-level worker thread,
-which the first estimate of two or more chunks starts; `_collect` gives
-the plan they share. `estimate_evm_batch` plans many estimates at once (the
-`verify` grid, a sweep's points). Every result is bit for bit the one a
-one-thread run gives. A chunk is held in row slices of about `_SLICE`
-values wherever the stream allows; a fill split into row slices gives the
-values of one fill, so slicing changes no bit.
+Each estimator call of two or more chunks runs on the caller and one
+helper thread, which the call starts and joins before it returns or
+raises; `_collect` gives the plan they share. `estimate_evm_batch` plans
+many estimates at once (the `verify` grid, a sweep's points). Every result
+is bit for bit the one a one-thread run gives. A chunk is held in row
+slices of about `_SLICE` values wherever the stream allows; a fill split
+into row slices gives the values of one fill, so slicing changes no bit.
 """
 
 import functools
 import hashlib
 import math
-import operator
-import queue
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, NumericalError, SelectionRule, SystemConfig
+from .model import (ConfigError, NumericalError, SelectionRule, SystemConfig, check_count,
+                    check_seed)
 
 DEFAULT_SEED = 12345
 
@@ -69,39 +68,6 @@ class EvmEstimate:
     std_error: float
     samples: int   # draws (or blocks) that entered the mean
     rejected: int  # zero/underflowed-desired-power draws replaced by later ones
-
-
-def _as_int(value):
-    # Python and numpy integers as an int, else None; bool is an int
-    # subclass but neither a seed nor a count
-    if isinstance(value, (bool, np.bool_)):
-        return None
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
-
-
-def check_seed(seed):
-    """The seed as an int; Python and numpy integers pass, all else is a ConfigError.
-
-    int() would truncate 1.9 to seed 1 and take True for seed 1, silently
-    aliasing another stream; bool is an int subclass but not a seed, and a
-    float is refused even when whole.
-    """
-    integer = _as_int(seed)
-    if integer is None:
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    return integer
-
-
-def check_count(value, name, minimum):
-    """The count as an int >= minimum; Python and numpy integers pass, all else
-    (a bool or a whole float included) is a ConfigError."""
-    count = _as_int(value)
-    if count is None or count < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return count
 
 
 def derive_seed(base, *parts):
@@ -172,8 +138,6 @@ def _row_slices(count, step):
 
 def _interference_power(rng, count, antennas, interferers):
     # the (count, antennas, interferers) exponentials, summed in interferer order
-    if interferers == 1:
-        return rng.standard_exponential((count, antennas))
     return _sum_interferers(rng.standard_exponential((count, antennas, interferers)))
 
 
@@ -248,41 +212,23 @@ def _check_rules(cfg, rules):
     return rules
 
 
-# the worker thread and its job queue, started by the first plan of two or
-# more chunks; every plan keeps its own outcomes, so callers on different
-# threads only share the worker's time, never their results
-_worker = None
-_worker_lock = threading.Lock()
-
-
-def _work(jobs):
-    while True:
-        jobs.get()()
-
-
-def _submit(job):
-    """Run job() on the worker thread, after the jobs submitted before it."""
-    global _worker
-    with _worker_lock:
-        # a forked child inherits the record of a thread it does not have
-        if _worker is None or not _worker[0].is_alive():
-            jobs = queue.SimpleQueue()
-            thread = threading.Thread(target=_work, args=(jobs,), daemon=True,
-                                      name="scevm-chunk-plan")
-            thread.start()
-            _worker = thread, jobs
-        _worker[1].put(job)
-
-
 class _Plan:
-    """Jobs that the caller and the worker take in order; outcomes by index."""
+    """Jobs that the caller and one helper thread take in order; outcomes by index.
+
+    The caller holds job 0; a plan of two or more jobs starts a helper that
+    takes the next untaken job, and close() joins it.
+    """
 
     def __init__(self, jobs):
         self.jobs = jobs
         self.outcomes = {}  # index: (value, error), until the caller reads it
-        self.taken = self.finished = 0
+        self.taken = min(1, len(jobs))
         self.closed = False
         self.changed = threading.Condition()
+        self.helper = None
+        if len(jobs) > 1:
+            self.helper = threading.Thread(target=self.work, name="scevm-chunk-plan")
+            self.helper.start()
 
     def take(self):
         with self.changed:
@@ -298,11 +244,10 @@ class _Plan:
             outcome = None, error
         with self.changed:
             self.outcomes[index] = outcome
-            self.finished += 1
             self.changed.notify_all()
 
     def work(self):
-        """Run untaken jobs until none is left; the worker's share of the plan."""
+        """Run untaken jobs until none is left; the helper's share of the plan."""
         while (index := self.take()) is not None:
             self.run(index)
 
@@ -318,10 +263,11 @@ class _Plan:
         return value
 
     def close(self):
-        """Take no further job, and wait for the jobs already running."""
+        """Take no further job, and join the helper once its running job is done."""
         with self.changed:
             self.closed = True
-            self.changed.wait_for(lambda: self.finished == self.taken)
+        if self.helper is not None:
+            self.helper.join()
 
 
 @dataclass(frozen=True)
@@ -390,18 +336,19 @@ def _collect(requests):
     The plan holds every chunk that each estimate needs if no block is
     rejected: ceil(wanted / size) chunks, the last of which draws only the
     rows it keeps. Rejections only add chunks, so a serial run draws every
-    planned chunk too. The caller and the worker thread each take the next
-    chunk of the plan that no thread has taken, so neither waits at the end
-    of an estimate for the other's chunk. A job keeps and reduces its
+    planned chunk too. The caller and the plan's helper thread each take the
+    next chunk of the plan that no thread has taken, so neither waits at the
+    end of an estimate for the other's chunk. A job keeps and reduces its
     finite values, and the caller tallies the jobs in plan order. A partial
     last chunk stands for the full one only where it holds all that a rule
     still needs. Otherwise the caller's serial loop draws it in full for
     that rule, and then any chunks past the plan. So every result is the
-    serial one bit for bit. An exception raised by a job is raised here,
-    and no job runs on once this returns or raises. The two threads overlap
-    because numpy releases the interpreter lock while it fills and combines
-    arrays; a third would hold a third chunk in memory, for a core that
-    two-core machines do not have.
+    serial one bit for bit. An exception raised by a job is raised here.
+    The helper is joined before this returns or raises, so no job runs on
+    and no thread outlives the call; concurrent calls each bring their own
+    helper. The two threads overlap because numpy releases the interpreter
+    lock while it fills and combines arrays; a third would hold a third
+    chunk in memory, for a core that two-core machines do not have.
 
     Returns:
         per request, {rule: (list of reduce() results in chunk order,
@@ -410,15 +357,11 @@ def _collect(requests):
     planned = [request.planned() for request in requests]
     plan = _Plan([functools.partial(_planned_chunk, request, chunk, rows)
                   for request, chunks in zip(requests, planned) for chunk, rows in chunks])
-    # the caller draws the first chunk, and the worker the next one untaken
-    first = plan.take()
-    if len(plan.jobs) > 1:
-        _submit(plan.work)
     collected = []
     index = 0
     try:
-        if first is not None:
-            plan.run(first)
+        if plan.jobs:
+            plan.run(0)
         for request, chunks in zip(requests, planned):
             rules, wanted = request.rules, request.wanted
             kept = dict.fromkeys(rules, 0)
@@ -638,7 +581,7 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
     blocks = check_count(blocks, "blocks", 2)
     try:
         points = CONSTELLATIONS[constellation]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigError(
             f"unknown constellation {constellation!r}; "
             f"choose from {sorted(CONSTELLATIONS)}") from None

@@ -20,8 +20,10 @@ from .model import (
     NumericalError,
     SelectionRule,
     SystemConfig,
+    check_count,
+    check_seed,
 )
-from .simulate import DEFAULT_SEED, check_count, check_seed, derive_seed, estimate_evm_batch
+from .simulate import DEFAULT_SEED, derive_seed, estimate_evm_batch
 
 SWEEP_AXES = ("L", "M", "m_d", "rho")
 CSV_HEADER = "L,M,rule,m_d,rho,analytic,mc_mean,mc_stderr,z_score,status"

@@ -23,10 +23,9 @@ from dataclasses import dataclass, replace
 
 from . import analytic
 from .analytic import analytic_formula
-from .model import Fading, SelectionRule, SystemConfig
+from .model import Fading, SelectionRule, SystemConfig, check_seed
 from .simulate import (
     DEFAULT_SEED,
-    check_seed,
     derive_seed,
     estimate_evm,
     estimate_evm_batch,

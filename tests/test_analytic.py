@@ -8,6 +8,7 @@ CDF otherwise), then frozen here verbatim.
 
 import math
 
+import numpy as np
 import pytest
 from oracles import exact_single_antenna, quad_oracle
 
@@ -390,10 +391,24 @@ def test_alternating_sums_keep_their_digits_or_raise(args, want):
     lambda: analytic.evm_max_signal_correlated(0.5, 0),
     lambda: analytic.sir_cdf_single_antenna(-1.0, 1, Fading.rayleigh()),
     lambda: analytic.evm_from_sir_cdf(SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.5)),
+    lambda: analytic.evm_max_sir_rayleigh(np.bool_(True), 1),
+    lambda: analytic.evm_max_sir_rayleigh(np.int64(0), 1),
+    lambda: analytic.evm_max_signal_rayleigh(2.0, 1),
+    lambda: analytic.evm_fully_correlated(np.float64(1.0)),
 ])
 def test_domain_validation(call):
     with pytest.raises(UnsupportedDomainError):
         call()
+
+
+def test_counts_accept_numpy_integers():
+    # the count rule of SystemConfig: Python and numpy integers alike
+    assert analytic.evm_max_sir_rayleigh(np.int64(2), 1) == analytic.evm_max_sir_rayleigh(2, 1)
+    assert (analytic.evm_max_signal_rayleigh(3, np.uint8(2))
+            == analytic.evm_max_signal_rayleigh(3, 2))
+    assert analytic.evm_fully_correlated(np.int32(4)) == analytic.evm_fully_correlated(4)
+    assert (analytic.sir_cdf_single_antenna(0.5, np.int64(3), Fading.rayleigh())
+            == analytic.sir_cdf_single_antenna(0.5, 3, Fading.rayleigh()))
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.999999999, 1.0])

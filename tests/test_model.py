@@ -76,6 +76,10 @@ def test_system_config_defaults_and_rule_coercion():
     # bool is an int subclass, but not a count
     {"antennas": True, "interferers": 1, "rule": "max_sir"},
     {"antennas": 2, "interferers": True, "rule": "max_sir"},
+    {"antennas": np.bool_(True), "interferers": 1, "rule": "max_sir"},
+    {"antennas": np.int64(0), "interferers": 1, "rule": "max_sir"},
+    {"antennas": 2, "interferers": np.float64(1.0), "rule": "max_sir"},
+    {"antennas": "2", "interferers": 1, "rule": "max_sir"},
     # float() would read True as 1, the fully correlated pair
     {"antennas": 2, "interferers": 1, "rule": "max_sir", "rho": True},
     {"antennas": 2, "interferers": 1, "rule": "max_sir", "rho": np.bool_(True)},
@@ -85,6 +89,14 @@ def test_system_config_defaults_and_rule_coercion():
 def test_system_config_rejects(kwargs):
     with pytest.raises(ConfigError):
         SystemConfig(**kwargs)
+
+
+def test_counts_accept_numpy_integers():
+    cfg = SystemConfig(np.int64(2), np.uint8(1), "max_sir")
+    assert type(cfg.antennas) is int and type(cfg.interferers) is int
+    assert cfg == SystemConfig(2, 1, "max_sir")
+    # a sweep cell's seed is derived from the counts' text
+    assert cell_seed(1, cfg) == cell_seed(1, SystemConfig(2, 1, "max_sir"))
 
 
 def test_bad_rule_token():

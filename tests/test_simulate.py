@@ -245,6 +245,9 @@ def test_estimate_validates_arguments():
         estimate_evm(RAYLEIGH_21_SIR, 1)
     with pytest.raises(ConfigError):
         estimate_evm(RAYLEIGH_21_SIR, 2.5)
+    # a list is no constellation name, and unhashable
+    with pytest.raises(ConfigError, match="unknown constellation"):
+        estimate_evm_symbol_level(RAYLEIGH_21_SIR, 4, 10, constellation=["qpsk"])
 
 
 def test_symbol_level_matches_closed_forms():
@@ -639,8 +642,8 @@ def test_chunks_drawn_ahead_equal_serial_reference(samples):
 
 @pytest.mark.parametrize("failing_chunk", (0, 1))
 def test_failed_draw_surfaces_and_next_estimate_works(monkeypatch, failing_chunk):
-    # the caller takes chunk 0 and stays in it until the worker draws, so the
-    # worker has taken chunk 1: a failure surfaces from either thread
+    # the caller takes chunk 0 and stays in it until the helper draws, so the
+    # helper has taken chunk 1: a failure surfaces from either thread
     cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
     samples = 3 * CHUNK
     expected = estimate_evm(cfg, samples, seed=97)
@@ -776,12 +779,14 @@ def test_failure_mid_plan_cancels_the_rest_and_leaves_the_worker_idle(monkeypatc
     monkeypatch.setattr(simulate, "_power_values", counting)
     with pytest.raises(NumericalError, match="too degenerate"):
         simulate.estimate_evm_batch(requests)
+    # the plan's helper is joined before the error reaches the caller
+    assert not [thread for thread in threading.enumerate()
+                if thread.name == "scevm-chunk-plan" and thread.is_alive()]
     # most of the third estimate's 40 chunks are left undrawn, and nothing runs on
     after = len(drawn)
     assert 3 <= after < 20
     time.sleep(0.2)
     assert len(drawn) == after
-    assert simulate._worker[1].empty()
     monkeypatch.undo()
     assert estimate_evm_rules(cfg, BOTH_RULES, 2 * CHUNK, seed=5) == expected
 
@@ -846,8 +851,8 @@ def test_symbol_partial_last_chunk_equals_serial_reference(cfg):
 
 @pytest.mark.parametrize("failing_chunk", (0, 1))
 def test_failed_symbol_chunk_surfaces_and_next_estimate_works(monkeypatch, failing_chunk):
-    # the caller takes chunk 0 and stays in it until the worker draws, so the
-    # worker has taken chunk 1: a failure surfaces from either thread
+    # the caller takes chunk 0 and stays in it until the helper draws, so the
+    # helper has taken chunk 1: a failure surfaces from either thread
     cfg = SystemConfig(2, 1, SelectionRule.MAX_SIR)
     blocks = 3 * SYMBOL_PER_CHUNK
     expected = estimate_evm_symbol_level(cfg, SYMBOL_SLOTS, blocks, seed=97)
@@ -897,7 +902,7 @@ MEMORY_CASES = [
 
 @pytest.mark.parametrize("estimate, bound_mb", MEMORY_CASES)
 def test_estimates_hold_chunks_in_row_slices(estimate, bound_mb):
-    estimate_evm(RAYLEIGH_21_SIR, 3 * CHUNK)  # the worker thread is up
+    estimate_evm(RAYLEIGH_21_SIR, 3 * CHUNK)  # first-use allocations stay out of the trace
     tracemalloc.start()
     try:
         estimate()
@@ -975,13 +980,43 @@ def test_import_and_one_chunk_estimate_start_no_thread():
         "print(threading.active_count())\n")
     assert loaded == "0"
     assert threads_after_one_chunk == "1"
-    # the first estimate of two chunks starts the one worker; later ones reuse it
-    assert threads_after_two == threads_after_more == "2"
+    # an estimate of two or more chunks joins its helper before it returns
+    assert threads_after_two == threads_after_more == "1"
+
+
+def test_forked_child_estimates_as_its_parent():
+    # the parent has run plans with a helper; the child runs its own plan
+    # and, like the parent, is left with its main thread alone
+    equal, exited = _fresh_python(
+        "import os, signal, threading, time\n"
+        "import scevm\n"
+        "cfg = scevm.SystemConfig(2, 1, scevm.SelectionRule.MAX_SIR)\n"
+        "chunk = scevm.simulate.CHUNK\n"
+        "scevm.estimate_evm(cfg, chunk + 1)\n"
+        "expected = repr(scevm.estimate_evm(cfg, 3 * chunk)).encode()\n"
+        "read, write = os.pipe()\n"
+        "child = os.fork()\n"
+        "if child == 0:\n"
+        "    got = repr(scevm.estimate_evm(cfg, 3 * chunk))\n"
+        "    os.write(write, f'{got} threads={threading.active_count()}'.encode())\n"
+        "    os._exit(0)\n"
+        "os.close(write)\n"
+        "deadline = time.monotonic() + 60\n"
+        "while not (done := os.waitpid(child, os.WNOHANG))[0] "
+        "and time.monotonic() < deadline:\n"
+        "    time.sleep(0.01)\n"
+        "if not done[0]:\n"
+        "    os.kill(child, signal.SIGKILL)\n"
+        "    os.waitpid(child, 0)\n"
+        "print(int(os.read(read, 1 << 16) == expected + b' threads=1'),\n"
+        "      int(bool(done[0]) and done[1] == 0))\n")
+    assert equal == "1"
+    assert exited == "1"
 
 
 def test_callers_on_several_threads_get_their_own_estimates():
-    # four callers share the one worker; a short switch interval makes their
-    # submissions interleave
+    # four callers each bring their own helper; a short switch interval makes
+    # their chunks interleave
     cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
     seeds = (101, 102, 103, 104)
     expected = {seed: _serial_estimates(cfg, BOTH_RULES, 3 * CHUNK, seed) for seed in seeds}

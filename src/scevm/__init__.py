@@ -27,7 +27,6 @@ from .simulate import (
     EvmEstimate,
     estimate_evm,
     estimate_evm_batch,
-    estimate_evm_rules,
     estimate_evm_symbol_level,
     estimate_evm_symbol_level_rules,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "emit_csv",
     "estimate_evm",
     "estimate_evm_batch",
-    "estimate_evm_rules",
     "estimate_evm_symbol_level",
     "estimate_evm_symbol_level_rules",
     "evm_fully_correlated",

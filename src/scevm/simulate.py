@@ -15,19 +15,20 @@ through a counter-based generator, so a given (config, seed) pair yields
 bit-identical results regardless of how many samples are requested beyond
 a chunk boundary: sample i always comes from the same place in the same
 stream. The chunk streams do not depend on the selection rule, so
-`estimate_evm_rules` and `estimate_evm_symbol_level_rules` draw each chunk
-once and share it among every rule requested; each rule's estimate is
+`estimate_evm_batch` and `estimate_evm_symbol_level_rules` draw each chunk
+once and share it among every rule of a request; each rule's estimate is
 bit-for-bit the one its single-rule estimator gives. Interferer powers are
 summed per antenna in interferer index order, which can differ from numpy's
 pairwise `sum` in the last bit for eight or more interferers.
 
 Each estimator call of two or more chunks runs on the caller and one
 helper thread, which the call starts and joins before it returns or
-raises; `_collect` gives the plan they share. `estimate_evm_batch` plans
-many estimates at once (the `verify` grid, a sweep's points). Every result
-is bit for bit the one a one-thread run gives. A chunk is held in row
-slices of about `_SLICE` values wherever the stream allows; a fill split
-into row slices gives the values of one fill, so slicing changes no bit.
+raises; `_collect` gives the plan they share. `estimate_evm_batch`, which
+`estimate_evm` calls with one request, plans many estimates at once (the
+`verify` grid, a sweep's points). Every result is bit for bit the one a
+one-thread run gives. A chunk is held in row slices of about `_SLICE`
+values wherever the stream allows; a fill split into row slices gives the
+values of one fill, so slicing changes no bit.
 """
 
 import functools
@@ -141,8 +142,8 @@ def _interference_power(rng, count, antennas, interferers):
     return _sum_interferers(rng.standard_exponential((count, antennas, interferers)))
 
 
-def _power_rows(cfg, rng, count, rows=None):
-    """Powers of the first `rows` (default all) of `count` blocks, by row slice.
+def _power_rows(cfg, rng, count, rows):
+    """Powers of the first `rows` of `count` blocks, by row slice.
 
     Returns the (rows, antennas) desired powers and an iterator of (row
     slice, interference powers of those rows). The desired powers of all
@@ -153,7 +154,6 @@ def _power_rows(cfg, rng, count, rows=None):
     and summed and handed out in slices for the first `rows` alone.
     """
     antennas, interferers = cfg.antennas, cfg.interferers
-    rows = count if rows is None else rows
     if cfg.rho > 0.0:
         # each antenna's power of the first rows is added into its column,
         # the desired pair's into `desired`, the interferer pairs' in order
@@ -425,18 +425,29 @@ def _sums(values):
 
 
 def estimate_evm_batch(requests):
-    """estimate_evm_rules for each (cfg, rules, samples, seed) request, as one plan.
+    """Estimate the EVM from channel-power draws, per (cfg, rules, samples, seed) request.
 
-    The two threads share out the chunks of every request, so neither
-    waits at the end of one estimate for the other to finish its chunk.
-    Every request is checked before any chunk is drawn.
+    Each chunk of a request's channel powers is drawn once and shared by its
+    rules (duplicates merged), so they are compared on identical channels;
+    cfg.rule is ignored. samples is the fading blocks per rule, an integer
+    >= 2, and the same (cfg, samples, seed) gives identical output. The
+    requests run as one plan: the two threads share out their chunks, so
+    neither waits at the end of one estimate for the other to finish its
+    chunk. Every request is checked before any chunk is drawn.
 
     Returns:
         one {rule: EvmEstimate} per request, in order, each bit for bit what
-        estimate_evm_rules(cfg, rules, samples, seed) returns.
+        the request alone gives. The standard error is the empirical one; it
+        supports z scoring only where E[SIR'^-1] is finite, which with
+        independent antennas needs L m > 1.
     """
     plan = []
-    for cfg, rules, samples, seed in requests:
+    for request in requests:
+        try:
+            cfg, rules, samples, seed = request
+        except (TypeError, ValueError):
+            raise ConfigError(f"each request must be a (cfg, rules, samples, seed) "
+                              f"tuple, got {request!r}") from None
         rules = _check_rules(cfg, rules)
         samples = check_count(samples, "samples", 2)
         plan.append(_Request(
@@ -459,30 +470,10 @@ def estimate_evm_batch(requests):
     return estimates
 
 
-def estimate_evm_rules(cfg, rules, samples, seed=DEFAULT_SEED):
-    """Estimate the EVM from channel-power draws, under each rule given.
-
-    Each chunk of channel powers is drawn once and shared by every rule,
-    so the rules are compared on identical channels; cfg.rule is ignored.
-
-    Args:
-        cfg: receiver configuration.
-        rules: SelectionRules to estimate; duplicates are merged.
-        samples: number of fading blocks per rule, an integer >= 2.
-        seed: base seed; same (cfg, samples, seed) gives identical output.
-
-    Returns:
-        {rule: EvmEstimate}, in the order given. The standard error is the
-        empirical one; it supports z scoring only where E[SIR'^-1] is
-        finite, which with independent antennas needs L m > 1.
-    """
-    return estimate_evm_batch([(cfg, rules, samples, seed)])[0]
-
-
 def estimate_evm(cfg, samples, seed=DEFAULT_SEED):
-    """estimate_evm_rules for cfg.rule alone; returns its EvmEstimate."""
+    """estimate_evm_batch for cfg.rule alone; returns its EvmEstimate."""
     _check_config(cfg)
-    return estimate_evm_rules(cfg, (cfg.rule,), samples, seed)[cfg.rule]
+    return estimate_evm_batch([(cfg, (cfg.rule,), samples, seed)])[0][cfg.rule]
 
 
 def _draw_gains(cfg, rng, count):

@@ -35,6 +35,8 @@ from .sweep import SweepRow, cell_seed
 
 _ANCHOR_TOL = 1e-10
 _Z_LIMIT = 3.0
+_SYMBOL_SLOTS = 2000   # waveform check: data symbols per fading block
+_SYMBOL_BLOCKS = 2000  # waveform check: fading blocks per rule
 
 
 @dataclass(frozen=True)
@@ -288,7 +290,7 @@ def mc_grid(samples, seed=DEFAULT_SEED):
     return checks, rows
 
 
-def symbol_level_checks(slots, blocks, seed=DEFAULT_SEED):
+def symbol_level_checks(seed=DEFAULT_SEED):
     """Waveform-level estimator against the closed forms at L=2, M=1.
 
     Both rules demodulate the same drawn gains and symbols.
@@ -296,8 +298,8 @@ def symbol_level_checks(slots, blocks, seed=DEFAULT_SEED):
     exacts = {SelectionRule.MAX_SIR: analytic.evm_max_sir_rayleigh(2, 1),
               SelectionRule.MAX_SIGNAL: analytic.evm_max_signal_rayleigh(2, 1)}
     estimates = estimate_evm_symbol_level_rules(
-        SystemConfig(2, 1, SelectionRule.MAX_SIR), tuple(exacts), slots, blocks,
-        seed=seed)
+        SystemConfig(2, 1, SelectionRule.MAX_SIR), tuple(exacts), _SYMBOL_SLOTS,
+        _SYMBOL_BLOCKS, seed=seed)
     checks = []
     for rule, exact in exacts.items():
         estimate = estimates[rule]
@@ -310,14 +312,13 @@ def symbol_level_checks(slots, blocks, seed=DEFAULT_SEED):
     return checks
 
 
-def run_verification(samples=1000000, seed=DEFAULT_SEED, slots=2000, blocks=2000):
+def run_verification(samples=1000000, seed=DEFAULT_SEED):
     """Run every verification layer and collect the verdict.
 
     Args:
-        samples: Monte Carlo draws per grid point.
+        samples: Monte Carlo draws per grid point; the waveform check's
+            size is fixed.
         seed: base seed; identical arguments give identical reports.
-        slots: symbols per fading block for the waveform check.
-        blocks: fading blocks for the waveform check.
 
     Returns:
         VerificationReport with all checks, the grid rows, and the
@@ -333,6 +334,6 @@ def run_verification(samples=1000000, seed=DEFAULT_SEED, slots=2000, blocks=2000
     checks.extend(asymptotic_checks())
     grid_checks, rows = mc_grid(samples, seed=seed)
     checks.extend(grid_checks)
-    checks.extend(symbol_level_checks(slots, blocks, seed=seed))
+    checks.extend(symbol_level_checks(seed=seed))
     return VerificationReport(checks=tuple(checks), rows=tuple(rows),
                               passed=all(c.passed for c in checks))

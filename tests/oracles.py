@@ -95,7 +95,7 @@ def draw_channels(cfg, rng, count):
     cfg.rho > 0 the two antennas' gains form correlated complex-normal
     pairs, for the desired user and every interferer alike.
     """
-    desired, slices = simulate._power_rows(cfg, rng, count)
+    desired, slices = simulate._power_rows(cfg, rng, count, count)
     interference = np.empty(desired.shape)
     for rows, part in slices:
         interference[rows] = part

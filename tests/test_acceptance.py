@@ -178,8 +178,8 @@ def test_symbol_level_full_size():
 
 
 def test_verification_rerun_is_byte_identical():
-    first = run_verification(samples=200000, seed=7, slots=200, blocks=400)
-    second = run_verification(samples=200000, seed=7, slots=200, blocks=400)
+    first = run_verification(samples=200000, seed=7)
+    second = run_verification(samples=200000, seed=7)
     same = emit_csv(first.rows) == emit_csv(second.rows)
     _report(same and first.passed and second.passed,
             "verification determinism",

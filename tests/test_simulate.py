@@ -1,6 +1,7 @@
 """Channel simulator: determinism, distributional faithfulness, selection."""
 
 import functools
+import hashlib
 import math
 import os
 import subprocess
@@ -25,7 +26,7 @@ from scevm.simulate import (
     _sum_interferers,
     derive_seed,
     estimate_evm,
-    estimate_evm_rules,
+    estimate_evm_batch,
     estimate_evm_symbol_level,
     estimate_evm_symbol_level_rules,
     select_antenna,
@@ -53,7 +54,7 @@ def test_seeds_must_be_integers(seed):
     with pytest.raises(ConfigError):
         estimate_evm(RAYLEIGH_21_SIR, 2000, seed=seed)
     with pytest.raises(ConfigError):
-        estimate_evm_rules(RAYLEIGH_21_SIR, tuple(SelectionRule), 2000, seed=seed)
+        estimate_evm_batch([(RAYLEIGH_21_SIR, tuple(SelectionRule), 2000, seed)])
     with pytest.raises(ConfigError):
         estimate_evm_symbol_level(RAYLEIGH_21_SIR, slots=4, blocks=10, seed=seed)
     with pytest.raises(ConfigError):
@@ -248,6 +249,11 @@ def test_estimate_validates_arguments():
     # a list is no constellation name, and unhashable
     with pytest.raises(ConfigError, match="unknown constellation"):
         estimate_evm_symbol_level(RAYLEIGH_21_SIR, 4, 10, constellation=["qpsk"])
+    # a batch request is a (cfg, rules, samples, seed) tuple
+    with pytest.raises(ConfigError, match=r"\(cfg, rules, samples, seed\)"):
+        estimate_evm_batch([(RAYLEIGH_21_SIR, BOTH_RULES, 2000)])
+    with pytest.raises(ConfigError, match=r"\(cfg, rules, samples, seed\)"):
+        estimate_evm_batch([RAYLEIGH_21_SIR])
 
 
 def test_symbol_level_matches_closed_forms():
@@ -357,7 +363,7 @@ SHARED_DRAW_CASES = [
 @pytest.mark.parametrize("cfg", SHARED_DRAW_CASES)
 def test_shared_draws_equal_single_rule_estimates(cfg):
     samples = CHUNK + 1000
-    shared = estimate_evm_rules(cfg, BOTH_RULES, samples, seed=4)
+    shared = estimate_evm_batch([(cfg, BOTH_RULES, samples, 4)])[0]
     assert tuple(shared) == BOTH_RULES
     for rule in BOTH_RULES:
         single = estimate_evm(replace(cfg, rule=rule), samples, seed=4)
@@ -425,9 +431,9 @@ def test_rules_stop_taking_chunks_independently(wanted, drawn, sir_parts, sir_re
 
 def test_rules_are_validated():
     with pytest.raises(ConfigError):
-        estimate_evm_rules(RAYLEIGH_21_SIR, (), 100)
+        estimate_evm_batch([(RAYLEIGH_21_SIR, (), 100, DEFAULT_SEED)])
     with pytest.raises(ConfigError):
-        estimate_evm_rules(RAYLEIGH_21_SIR, ("max_sir",), 100)
+        estimate_evm_batch([(RAYLEIGH_21_SIR, ("max_sir",), 100, DEFAULT_SEED)])
     with pytest.raises(ConfigError):
         estimate_evm_symbol_level_rules("not a config", BOTH_RULES, 10, 100)
 
@@ -461,12 +467,27 @@ def test_verification_equals_per_rule_reference(monkeypatch):
                                                 seed=seed)
                 for rule in rules}
 
-    args = dict(samples=200000, seed=7, slots=200, blocks=400)
+    args = dict(samples=200000, seed=7)
     shared = text(verify.run_verification(**args))
     monkeypatch.setattr(verify, "estimate_evm_batch",
                         lambda requests: [per_rule(*request) for request in requests])
     monkeypatch.setattr(verify, "estimate_evm_symbol_level_rules", per_rule_symbol)
     assert text(verify.run_verification(**args)) == shared
+
+
+# SHA-256 of every "name|passed|detail" line of run_verification(samples=2000,
+# seed=3), then its grid rows as CSV: 108 checks, all passing. It pins the
+# grid, shared-draw ordering and waveform lines beside the closed-form ones,
+# whichever thread drew each chunk.
+VERIFICATION_REPORT_SHA256 = "f46ad1774ce0f5a0942553b5ffc30704b1a385370da69538a4680e7cd4fff36b"
+
+
+def test_verification_report_is_frozen():
+    report = verify.run_verification(samples=2000, seed=3)
+    text = "".join(f"{c.name}|{c.passed}|{c.detail}\n" for c in report.checks)
+    text += emit_csv(report.rows)
+    assert (len(report.checks), report.passed) == (108, True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == VERIFICATION_REPORT_SHA256
 
 
 # correlated powers: the pair kernel forms h2 over h1 in place, so its
@@ -594,7 +615,7 @@ def test_selection_is_numpys_argmax_of_the_documented_key(antennas, rule):
 
 @pytest.mark.parametrize("antennas", range(1, 9))
 def test_flat_gather_equals_two_dimensional_indexing(antennas):
-    # _kept_ratio is what estimate_evm_rules applies to each row slice of a chunk
+    # _kept_ratio is what estimate_evm_batch applies to each row slice of a chunk
     cfg = SystemConfig(antennas, 2, SelectionRule.MAX_SIR)
     rng = np.random.default_rng(100 + antennas)
     rows = np.arange(CHUNK)
@@ -636,7 +657,7 @@ def _serial_estimates(cfg, rules, samples, seed):
 @pytest.mark.parametrize("samples", (CHUNK - 1, CHUNK, 2 * CHUNK + 5, 10 ** 6))
 def test_chunks_drawn_ahead_equal_serial_reference(samples):
     cfg = SystemConfig(3, 2, SelectionRule.MAX_SIR)
-    assert (estimate_evm_rules(cfg, BOTH_RULES, samples, seed=89)
+    assert (estimate_evm_batch([(cfg, BOTH_RULES, samples, 89)])[0]
             == _serial_estimates(cfg, BOTH_RULES, samples, seed=89))
 
 
@@ -699,7 +720,7 @@ def test_last_chunk_draws_no_interferer_slice_past_its_rows(monkeypatch):
     monkeypatch.setattr(simulate, "_interference_power", spy)
     cfg = SystemConfig(3, 2, SelectionRule.MAX_SIR)
     samples = CHUNK + 1000
-    estimates = estimate_evm_rules(cfg, BOTH_RULES, samples, seed=89)
+    estimates = estimate_evm_batch([(cfg, BOTH_RULES, samples, 89)])[0]
     # a full chunk, then slices of the second only as far as its 1000 rows
     assert sum(counts) == samples
     assert max(counts) <= simulate._SLICE // (cfg.antennas * cfg.interferers)
@@ -763,7 +784,7 @@ def test_rejections_in_a_partial_last_chunk_equal_serial_reference(samples, seed
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_failure_mid_plan_cancels_the_rest_and_leaves_the_worker_idle(monkeypatch):
     cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
-    expected = estimate_evm_rules(cfg, BOTH_RULES, 2 * CHUNK, seed=5)
+    expected = estimate_evm_batch([(cfg, BOTH_RULES, 2 * CHUNK, 5)])[0]
     # shape 0.001 powers underflow to zero about half the time, so the
     # second estimate rejects more than 1% in its first chunk
     degenerate = SystemConfig(1, 1, SelectionRule.MAX_SIR, Fading.nakagami(0.001))
@@ -788,7 +809,7 @@ def test_failure_mid_plan_cancels_the_rest_and_leaves_the_worker_idle(monkeypatc
     time.sleep(0.2)
     assert len(drawn) == after
     monkeypatch.undo()
-    assert estimate_evm_rules(cfg, BOTH_RULES, 2 * CHUNK, seed=5) == expected
+    assert estimate_evm_batch([(cfg, BOTH_RULES, 2 * CHUNK, 5)])[0] == expected
 
 
 # 4096 slots make 256-block chunks
@@ -886,17 +907,18 @@ def test_failed_symbol_chunk_surfaces_and_next_estimate_works(monkeypatch, faili
 MEMORY_CASES = [
     pytest.param(lambda: estimate_evm_symbol_level_rules(
         RAYLEIGH_21_SIR, BOTH_RULES, 2000, 2000), 20.0, id="symbol-2000x2000"),
-    pytest.param(lambda: estimate_evm_rules(
-        SystemConfig(4, 4, SelectionRule.MAX_SIR), BOTH_RULES, 10 ** 6), 20.0, id="L4-M4"),
-    pytest.param(lambda: estimate_evm_rules(
+    pytest.param(lambda: estimate_evm_batch([(
+        SystemConfig(4, 4, SelectionRule.MAX_SIR), BOTH_RULES, 10 ** 6, DEFAULT_SEED)]),
+        20.0, id="L4-M4"),
+    pytest.param(lambda: estimate_evm_batch([(
         SystemConfig(6, 2, SelectionRule.MAX_SIR, Fading.nakagami(2.0)), BOTH_RULES,
-        200000), 20.0, id="nakagami-L6-M2"),
-    pytest.param(lambda: estimate_evm_rules(
-        SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.6), BOTH_RULES, 200000), 16.0,
-        id="correlated"),
-    pytest.param(lambda: estimate_evm_rules(
-        SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.9), BOTH_RULES, 10 ** 6), 17.0,
-        id="correlated-grid-cell"),
+        200000, DEFAULT_SEED)]), 20.0, id="nakagami-L6-M2"),
+    pytest.param(lambda: estimate_evm_batch([(
+        SystemConfig(2, 2, SelectionRule.MAX_SIR, rho=0.6), BOTH_RULES, 200000,
+        DEFAULT_SEED)]), 16.0, id="correlated"),
+    pytest.param(lambda: estimate_evm_batch([(
+        SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.9), BOTH_RULES, 10 ** 6,
+        DEFAULT_SEED)]), 17.0, id="correlated-grid-cell"),
 ]
 
 
@@ -923,7 +945,7 @@ def test_estimates_are_frozen():
         SelectionRule.MAX_SIR: (1.7658435689747263, 0.0021069573883341487),
         SelectionRule.MAX_SIGNAL: (1.8358498960607785, 0.0021991707167830113),
     }
-    estimates = estimate_evm_rules(rho, BOTH_RULES, 300000, seed=5)
+    estimates = estimate_evm_batch([(rho, BOTH_RULES, 300000, 5)])[0]
     for rule in BOTH_RULES:
         mean, std_error = frozen[rule]
         assert repr(estimates[rule]) == (f"EvmEstimate(mean={mean!r}, std_error="
@@ -1023,7 +1045,7 @@ def test_callers_on_several_threads_get_their_own_estimates():
     got = {}
 
     def call(seed):
-        got[seed] = estimate_evm_rules(cfg, BOTH_RULES, 3 * CHUNK, seed=seed)
+        got[seed] = estimate_evm_batch([(cfg, BOTH_RULES, 3 * CHUNK, seed)])[0]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

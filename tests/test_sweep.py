@@ -422,3 +422,16 @@ def test_presets():
     assert sorted(s.base.interferers for s in fig3) == [1, 2, 4]
     with pytest.raises(ConfigError):
         preset("fig9")
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 2
+    library, sweep_block = {}, {}
+    exec(blocks[0], library)
+    # both rules come from one set of draws, and max-SIR's is estimate_evm's
+    assert tuple(library["both"]) == tuple(SelectionRule)
+    assert library["both"][SelectionRule.MAX_SIR] == library["est"]
+    exec(blocks[1], sweep_block)
+    assert len(sweep_block["rows"]) == 6
+    assert capsys.readouterr().out == emit_csv(sweep_block["rows"]) + "\n"

@@ -73,10 +73,13 @@ def gamma_ratio(a, b):
 
 
 def _log_gamma_prefactor(s, z):
+    # ln(z^s e^-z / Gamma(s))
     log_prefactor = s * math.log(z) - z - log_gamma(s)
     if math.isnan(log_prefactor):
-        # log_gamma(s) and s ln z overflow together from s ~ 2.6e305
-        raise NumericalError(f"incomplete gamma prefactor overflows for s={s}, z={z}")
+        # log_gamma(s) and s ln z overflow together from s ~ 2.6e305; Stirling's
+        # form, off by about 1/(12 s), has no term that overflows
+        ratio = z / s
+        log_prefactor = s * (math.log(ratio) + 1.0 - ratio) - 0.5 * math.log(2.0 * math.pi / s)
     return log_prefactor
 
 
@@ -139,7 +142,7 @@ def regularized_gamma_p(s, z):
 
     Raises:
         NumericalError: if the series or continued fraction does not
-            converge, or the prefactor overflows (s from about 2.6e305).
+            converge.
     """
     if not (s > 0.0):
         raise UnsupportedDomainError(f"shape s must be positive, got {s}")
@@ -150,5 +153,8 @@ def regularized_gamma_p(s, z):
     if z == math.inf:
         return 1.0
     if z - s < 1.0:  # not z < s + 1, which rounds to z < s from s ~ 9e15
-        return math.exp(_log_gamma_prefactor(s, z)) * _lower_gamma_series(s, z)
+        prefactor = math.exp(_log_gamma_prefactor(s, z))
+        # from s ~ 4.5e307 the series' first term 1/s is subnormal and the
+        # sum never meets its relative stopping test; no sum is needed at 0
+        return 0.0 if prefactor == 0.0 else prefactor * _lower_gamma_series(s, z)
     return 1.0 - _upper_gamma_continued_fraction(s, z)

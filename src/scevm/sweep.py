@@ -4,9 +4,9 @@ A sweep varies one axis of a base configuration under one or more
 selection rules. At each point it evaluates whichever closed form covers
 each rule, and draws the channels once for all of the point's rules,
 with a seed derived from everything except the rule, so the rules are
-compared on identical channels. It reports one row per point and rule,
-with a z score. Rows serialize to CSV and to a gnuplot script for quick
-looks.
+compared on identical channels; evaluate_cells does this for the
+verification grid's cells too. It reports one row per point and rule, with
+a z score. Rows serialize to CSV and to a gnuplot script for quick looks.
 """
 
 import dataclasses
@@ -108,69 +108,83 @@ def _apply_axis(base, axis, value):
     return dataclasses.replace(base, rho=value)
 
 
-def run_sweep(spec):
-    """Evaluate every point of a SweepSpec under each of its rules.
+def cell_row(cfg, rule, analytic, estimate):
+    """The SweepRow of cfg under rule; `diverged` when estimate is None.
 
-    Points whose configuration is invalid come back as `unsupported` with
-    the swept coordinate filled in; points whose EVM is provably infinite
-    come back as `diverged` and skip the simulator.  Valid points with no
-    closed form, or whose route fails numerically (NumericalError, e.g. a
-    tail past the double range just above the divergence boundary), stay
-    `ok` with empty analytic and z columns, so the simulator still covers
-    them. Coverage and divergence are decided per rule; the rules left to
-    simulate share one estimate per point, which gives each rule the bits
-    of its own single-rule estimate. The closed forms are evaluated first,
-    and then every point's estimate comes from one estimate_evm_batch plan.
+    The z score needs both a closed form and a positive standard error.
+    """
+    row = SweepRow(cfg.antennas, cfg.interferers, rule.value, cfg.fading.m, cfg.rho)
+    if estimate is None:
+        return dataclasses.replace(row, status=STATUS_DIVERGED)
+    scored = analytic is not None and estimate.std_error > 0.0
+    return dataclasses.replace(
+        row, analytic=analytic, mc_mean=estimate.mean, mc_stderr=estimate.std_error,
+        z_score=(estimate.mean - analytic) / estimate.std_error if scored else None)
+
+
+def evaluate_cells(cells, samples, seed):
+    """Closed form and shared-draw estimate of each (SystemConfig, rules) cell.
+
+    Per rule: a provably infinite EVM gives a `diverged` row and no draws;
+    no closed form, or a route that fails numerically (NumericalError, e.g.
+    a tail past the double range), leaves the analytic and z columns empty.
+    The rules left are estimated as one estimate_evm_batch plan, each cell
+    on the draws of cell_seed(seed, cfg), which gives each rule the bits of
+    its own single-rule estimate.
 
     Returns:
-        SweepRows, rule-major: every point of rules[0], then of rules[1], ...
+        one {rule: SweepRow} per cell, in the order of its rules.
     """
-    points = []  # per value: (point, {rule: closed form} but the diverged rules)
-    for value in spec.values:
-        try:
-            point = _apply_axis(spec.base, spec.axis, value)
-        except (ConfigError, ValueError):
-            points.append((None, None))
-            continue
+    exacts = []  # per cell: {rule: closed form or None}, but the diverged rules
+    for cfg, rules in cells:
         exact = {}
-        for rule in spec.rules:
+        for rule in rules:
             try:
-                exact[rule] = analytic_formula(dataclasses.replace(point, rule=rule))
+                exact[rule] = analytic_formula(dataclasses.replace(cfg, rule=rule))
             except DivergentMomentError:
                 pass
             except NumericalError:
                 exact[rule] = None
-        points.append((point, exact))
+        exacts.append(exact)
     batch = iter(estimate_evm_batch(
-        [(point, tuple(exact), spec.samples, cell_seed(spec.seed, point))
-         for point, exact in points if exact]))
-    rows = {rule: [] for rule in spec.rules}
-    for value, (point, exact) in zip(spec.values, points):
-        if point is None:
-            placeholder = {"L": spec.base.antennas, "M": spec.base.interferers,
-                           "m_d": spec.base.fading.m, "rho": spec.base.rho}
-            placeholder[spec.axis] = value
-            for rule in spec.rules:
-                rows[rule].append(SweepRow(
-                    antennas=placeholder["L"], interferers=placeholder["M"],
-                    rule=rule.value, shape=placeholder["m_d"],
-                    rho=placeholder["rho"], status=STATUS_UNSUPPORTED))
-            continue
+        [(cfg, tuple(exact), samples, cell_seed(seed, cfg))
+         for (cfg, _), exact in zip(cells, exacts) if exact]))
+    evaluated = []
+    for (cfg, rules), exact in zip(cells, exacts):
         estimates = next(batch) if exact else {}
-        for rule in spec.rules:
-            row = dict(antennas=point.antennas, interferers=point.interferers,
-                       rule=rule.value, shape=point.fading.m, rho=point.rho)
-            if rule not in estimates:
-                rows[rule].append(SweepRow(**row, status=STATUS_DIVERGED))
-                continue
-            estimate = estimates[rule]
-            z_score = None
-            if exact[rule] is not None and estimate.std_error > 0.0:
-                z_score = (estimate.mean - exact[rule]) / estimate.std_error
-            rows[rule].append(SweepRow(
-                **row, analytic=exact[rule], mc_mean=estimate.mean,
-                mc_stderr=estimate.std_error, z_score=z_score))
-    return [row for rule in spec.rules for row in rows[rule]]
+        evaluated.append({rule: cell_row(cfg, rule, exact.get(rule), estimates.get(rule))
+                          for rule in rules})
+    return evaluated
+
+
+def run_sweep(spec):
+    """Evaluate every point of a SweepSpec under each of its rules.
+
+    Points whose configuration is invalid come back as `unsupported` with
+    the swept coordinate filled in; evaluate_cells evaluates the others, all
+    points in one plan.
+
+    Returns:
+        SweepRows, rule-major: every point of rules[0], then of rules[1], ...
+    """
+    points = []
+    for value in spec.values:
+        try:
+            points.append(_apply_axis(spec.base, spec.axis, value))
+        except (ConfigError, ValueError):
+            points.append(None)
+    evaluated = iter(evaluate_cells(
+        [(point, spec.rules) for point in points if point is not None], spec.samples, spec.seed))
+    cells = [next(evaluated) if point is not None else _unsupported(spec, value)
+             for value, point in zip(spec.values, points)]
+    return [cell[rule] for rule in spec.rules for cell in cells]
+
+
+def _unsupported(spec, value):
+    at = {"L": spec.base.antennas, "M": spec.base.interferers, "m_d": spec.base.fading.m,
+          "rho": spec.base.rho} | {spec.axis: value}
+    return {rule: SweepRow(at["L"], at["M"], rule.value, at["m_d"], at["rho"],
+                           status=STATUS_UNSUPPORTED) for rule in spec.rules}
 
 
 def _cell(value):

@@ -14,8 +14,10 @@ ignores the rule, each chunk of draws is generated once and shared by the
 cell's rules, and a cell with both rules and at least two antennas checks
 that max-SIR beats max-signal on those draws, not merely on average. The
 symbol-level check likewise demodulates one set of gains and symbols under
-both rules. The grid's estimates are drawn as one plan of chunks, shared
-out between two threads; a grid re-run is per rule.
+both rules. The grid's rows come from sweep.evaluate_cells, the one path
+that also evaluates every sweep point: the closed forms, then all cells'
+estimates as one plan of chunks shared out between two threads. A grid
+re-run is per rule; this module adds only the check policy.
 """
 
 import math
@@ -23,15 +25,9 @@ from dataclasses import dataclass, replace
 
 from . import analytic
 from .analytic import analytic_formula
-from .model import Fading, SelectionRule, SystemConfig, check_seed
-from .simulate import (
-    DEFAULT_SEED,
-    derive_seed,
-    estimate_evm,
-    estimate_evm_batch,
-    estimate_evm_symbol_level_rules,
-)
-from .sweep import SweepRow, cell_seed
+from .model import Fading, SelectionRule, SystemConfig, check_count, check_seed
+from .simulate import DEFAULT_SEED, derive_seed, estimate_evm, estimate_evm_symbol_level_rules
+from .sweep import cell_row, cell_seed, evaluate_cells
 
 _ANCHOR_TOL = 1e-10
 _Z_LIMIT = 3.0
@@ -247,42 +243,28 @@ def mc_grid(samples, seed=DEFAULT_SEED):
     checks = []
     rows = []
     cells = _grid_cells()
-    # every cell's estimates come from one plan; a re-run is a single estimate
-    batch = estimate_evm_batch([(cell, rules, samples, cell_seed(seed, cell))
-                                for cell, rules in cells])
-    for (cell, rules), estimates in zip(cells, batch):
-        antennas, interferers, fading, rho = (cell.antennas, cell.interferers,
-                                              cell.fading, cell.rho)
-        where = (f"L={antennas} M={interferers} {fading.kind} m={fading.m:g} "
-                 f"rho={rho:g}")
-        base_seed = cell_seed(seed, cell)
-        for rule, estimate in estimates.items():
-            cfg = replace(cell, rule=rule)
-            exact = analytic_formula(cfg)
-            z = (estimate.mean - exact) / estimate.std_error
-            retried = False
-            if abs(z) > _Z_LIMIT:
-                retried = True
-                estimate = estimate_evm(cfg, samples,
-                                        seed=derive_seed(base_seed, "retry"))
-                z = (estimate.mean - exact) / estimate.std_error
-            detail = (f"exact {exact:.9g}, mc {estimate.mean:.9g} "
-                      f"+- {estimate.std_error:.2g}, z {z:+.2f}")
+    for (cell, _), cell_rows in zip(cells, evaluate_cells(cells, samples, seed)):
+        where = (f"L={cell.antennas} M={cell.interferers} {cell.fading.kind} "
+                 f"m={cell.fading.m:g} rho={cell.rho:g}")
+        for rule, row in cell_rows.items():
+            retried = abs(row.z_score) > _Z_LIMIT
+            if retried:
+                cfg = replace(cell, rule=rule)
+                row = cell_row(cfg, rule, row.analytic, estimate_evm(
+                    cfg, samples, seed=derive_seed(cell_seed(seed, cell), "retry")))
+            detail = (f"exact {row.analytic:.9g}, mc {row.mc_mean:.9g} "
+                      f"+- {row.mc_stderr:.2g}, z {row.z_score:+.2f}")
             if retried:
                 detail += " (after one re-run)"
-            if antennas * fading.m <= 1.0:
+            if cell.antennas * cell.fading.m <= 1.0:
                 detail += " (infinite variance: L*m <= 1)"
             checks.append(CheckResult(f"grid {rule.value} {where}",
-                                      abs(z) <= _Z_LIMIT, detail))
-            rows.append(SweepRow(
-                antennas=antennas, interferers=interferers, rule=rule.value,
-                shape=fading.m, rho=rho, analytic=exact,
-                mc_mean=estimate.mean, mc_stderr=estimate.std_error,
-                z_score=z, status="ok"))
+                                      abs(row.z_score) <= _Z_LIMIT, detail))
+            rows.append(row)
         # one antenna leaves nothing to select, so the rules tie
-        if antennas >= 2 and len(estimates) == 2:
-            sir = estimates[SelectionRule.MAX_SIR].mean
-            signal = estimates[SelectionRule.MAX_SIGNAL].mean
+        if cell.antennas >= 2 and len(cell_rows) == 2:
+            sir = cell_rows[SelectionRule.MAX_SIR].mc_mean
+            signal = cell_rows[SelectionRule.MAX_SIGNAL].mc_mean
             checks.append(CheckResult(
                 f"ordering shared-draws {where}", sir < signal,
                 f"max_sir {sir:.9g} < max_signal {signal:.9g} "
@@ -324,7 +306,8 @@ def run_verification(samples=1000000, seed=DEFAULT_SEED):
         VerificationReport with all checks, the grid rows, and the
         overall pass flag.
     """
-    seed = check_seed(seed)  # before the checks that take no seed run
+    # before the checks that take neither run
+    samples, seed = check_count(samples, "samples", 2), check_seed(seed)
     checks = []
     checks.extend(anchor_checks())
     checks.extend(reduction_checks())

@@ -538,6 +538,15 @@ def test_signal_rule_at_huge_shape_reaches_the_deterministic_limit(interferers):
         _interferer_moment(interferers), rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [3e305, 1e307, 1e308, 1.7e308])
+@pytest.mark.parametrize("interferers", [1, 3])
+def test_signal_rule_past_the_log_gamma_overflow(m, interferers):
+    # log_gamma(m) overflows from m ~ 2.6e305, and the series' first term
+    # 1/m is subnormal from m ~ 4.5e307
+    got = analytic.analytic_formula(_signal_nakagami_cfg(m, interferers))
+    assert got == pytest.approx(_interferer_moment(interferers), rel=0, abs=1e-12)
+
+
 @pytest.mark.parametrize("m", [1e9, 1e50, 1e300])
 def test_max_sir_at_huge_shape_reaches_the_deterministic_limit(m):
     # as m grows the desired power tends to 1; the m -> inf limit of L = 3,

@@ -81,6 +81,13 @@ def test_eval_signal_rule_at_huge_shape(capsys):
     assert "m=1e+305 rho=0\n" in out
 
 
+def test_eval_signal_rule_past_the_log_gamma_overflow(capsys):
+    code, value, _ = _eval_value(capsys, [
+        "eval", "--rule", "max-signal", "--fading", "nakagami", "--md", "3e305"])
+    assert code == 0
+    assert value == pytest.approx(math.gamma(1.5), rel=0, abs=1e-14)
+
+
 def test_eval_with_mc(capsys):
     code = main(["eval", "--mc", "--samples", "20000", "--seed", "3"])
     out = capsys.readouterr().out

@@ -61,6 +61,20 @@ def test_seeds_must_be_integers(seed):
         verify.run_verification(samples=2000, seed=seed)
 
 
+@pytest.mark.parametrize("samples", [1, 0, 2000.0, True])
+def test_verification_checks_samples_before_any_check(monkeypatch, samples):
+    # samples=1 ran every closed-form check before the grid's plan refused it
+    ran = []
+    for family in ("anchor_checks", "reduction_checks", "quadrature_identity_checks",
+                   "monotonicity_checks", "rule_ordering_checks", "asymptotic_checks",
+                   "mc_grid", "symbol_level_checks"):
+        monkeypatch.setattr(verify, family,
+                            lambda *args, family=family, **kwargs: ran.append(family) or [])
+    with pytest.raises(ConfigError, match="samples"):
+        verify.run_verification(samples=samples)
+    assert ran == []
+
+
 @pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7), np.int8(7)])
 def test_numpy_integer_seeds_give_the_int_stream(seed):
     assert derive_seed(seed, "power") == derive_seed(7, "power")
@@ -469,7 +483,7 @@ def test_verification_equals_per_rule_reference(monkeypatch):
 
     args = dict(samples=200000, seed=7)
     shared = text(verify.run_verification(**args))
-    monkeypatch.setattr(verify, "estimate_evm_batch",
+    monkeypatch.setattr(scevm.sweep, "estimate_evm_batch",
                         lambda requests: [per_rule(*request) for request in requests])
     monkeypatch.setattr(verify, "estimate_evm_symbol_level_rules", per_rule_symbol)
     assert text(verify.run_verification(**args)) == shared

@@ -133,10 +133,10 @@ def test_regularized_gamma_against_scipy():
 
 
 @pytest.mark.parametrize("s,z", [(3e305, 2.7e305), (3e305, 3.3e305)])
-def test_regularized_gamma_p_prefactor_overflow_raises(s, z):
-    # log_gamma(s) and s ln z both overflow, and their difference was NaN
-    with pytest.raises(NumericalError):
-        regularized_gamma_p(s, z)
+def test_regularized_gamma_p_past_the_prefactor_overflow(s, z):
+    # log_gamma(s) and s ln z both overflow, and their difference is NaN;
+    # Stirling's form of the prefactor underflows to 0 on either side of z = s
+    assert regularized_gamma_p(s, z) == (0.0 if z < s else 1.0)
 
 
 def test_regularized_gamma_p_where_s_plus_one_rounds_to_s():

@@ -26,6 +26,7 @@ from scevm.sweep import (
     SweepSpec,
     cell_seed,
     emit_csv,
+    evaluate_cells,
     emit_plot_script,
     preset,
     run_sweep,
@@ -306,6 +307,45 @@ def test_two_rule_spec_equals_the_single_rule_specs(axis, values, base, rules):
         # the two rules disagree on coverage at rho = 0.5
         assert [row.analytic is None for row in joint if row.rho == 0.5] == \
             [rule is SelectionRule.MAX_SIR for rule in rules]
+
+
+def test_evaluate_cells_mixed_call(monkeypatch):
+    both = tuple(SelectionRule)
+    cells = [
+        (SystemConfig(2, 1, "max_sir"), both),                             # closed forms
+        (SystemConfig(1, 2, "max_sir", Fading.nakagami(0.25)), both),     # 2 L m < 1
+        (SystemConfig(2, 2, "max_sir", rho=0.5), (SelectionRule.MAX_SIR,)),  # no route
+        (SystemConfig(1, 2, "max_signal", Fading.nakagami(0.505)), both),  # tail too slow
+    ]
+    calls = []
+    original = sweep.estimate_evm_batch
+
+    def counting(requests):
+        calls.append([(cfg, rules) for cfg, rules, _, _ in requests])
+        return original(requests)
+
+    monkeypatch.setattr(sweep, "estimate_evm_batch", counting)
+    evaluated = evaluate_cells(cells, 3000, 11)
+    # one plan, without the diverged cell
+    assert calls == [[cells[0], cells[2], cells[3]]]
+    assert [tuple(rows) for rows in evaluated] == [rules for _, rules in cells]
+    for index, ((cfg, _), rows) in enumerate(zip(cells, evaluated)):
+        for rule, row in rows.items():
+            point = dataclasses.replace(cfg, rule=rule)
+            assert (row.antennas, row.interferers, row.rule, row.shape, row.rho) == (
+                cfg.antennas, cfg.interferers, rule.value, cfg.fading.m, cfg.rho)
+            if index == 1:
+                assert (row.analytic, row.mc_mean, row.mc_stderr, row.z_score,
+                        row.status) == (None, None, None, None, "diverged")
+                continue
+            reference = estimate_evm(point, 3000, seed=cell_seed(11, cfg))
+            assert (row.mc_mean, row.mc_stderr, row.status) == (
+                reference.mean, reference.std_error, "ok")
+            if index == 0:
+                assert row.analytic == analytic_formula(point)
+                assert row.z_score == (reference.mean - row.analytic) / reference.std_error
+            else:
+                assert (row.analytic, row.z_score) == (None, None)
 
 
 def test_two_rule_spec_draws_each_point_once(monkeypatch):

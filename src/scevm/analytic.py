@@ -35,6 +35,7 @@ from .quadrature import integrate_semi_infinite
 from .specfun import gamma_ratio, log_gamma, regularized_gamma_p
 
 _SQRT_PI = math.sqrt(math.pi)
+_LN2 = math.log(2.0)
 
 # an alternating antenna sum is refused once largest term / |sum|, times
 # the units of roundoff each term carries, passes this bound. Against
@@ -83,8 +84,21 @@ def sir_cdf_single_antenna(x, interferers, fading):
         # (m)_k / k! (1 - z)^k from its predecessor, with 1 - z = 1 / (1 + m x)
         term *= (m + k - 1.0) / (k * (1.0 + mx))
         total += term
-    # z^m = (1 + 1 / (m x))^-m, without forming z, whose rounding m amplifies
-    return min(1.0, math.exp(-m * math.log1p(1.0 / mx)) * total)
+    if math.isfinite(interferers * (1.0 + mx) * total):
+        # z^m = (1 + 1 / (m x))^-m, without forming z, whose rounding m amplifies
+        return min(1.0, math.exp(-m * math.log1p(1.0 / mx)) * total)
+    # the sum or a k (1 + m x) overflowed: the same terms, each ratio taken
+    # as (1 + (k - 1) / m) / (k (x + 1 / m)), which has no overflowing factor,
+    # with the sum held in units of 2^scale and z^m in log space, from
+    # u = 1 / (m x), formed as (1 / m) / x where m x overflows
+    u = 1.0 / mx if mx < math.inf else 1.0 / m / x
+    scale, term, total = 0, 1.0, 1.0
+    for k in range(1, interferers):
+        term *= (1.0 + (k - 1.0) / m) / (k * (x + 1.0 / m))
+        total, shift = math.frexp(total + term)
+        term = math.ldexp(term, -shift)
+        scale += shift
+    return min(1.0, math.exp(scale * _LN2 - m * math.log1p(u)) * total)
 
 
 def sir_cdf_best_antenna(x, cfg):

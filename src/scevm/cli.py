@@ -19,7 +19,7 @@ from .analytic import analytic_formula, formula_name
 from .model import (ConfigError, Fading, NumericalError, SelectionRule, SystemConfig,
                     check_number, check_seed)
 from .simulate import DEFAULT_SEED, estimate_evm
-from .sweep import emit_csv, emit_plot_script, preset, run_sweep
+from .sweep import cell_row, emit_csv, emit_plot_script, preset, run_sweep
 from .verify import run_verification
 
 _EVAL_DEFAULTS = {
@@ -150,10 +150,11 @@ def _cmd_eval(args):
         print(f"analytic evm: {exact:.15g} [{formula_name(cfg)}]")
     if args.mc:
         estimate = estimate_evm(cfg, settings["samples"], seed=seed)
+        z = cell_row(cfg, cfg.rule, exact, estimate).z_score
         line = (f"mc evm: {estimate.mean:.15g} +- {estimate.std_error:.3g} "
                 f"({estimate.samples} samples")
-        if exact is not None and estimate.std_error > 0.0:
-            line += f", z = {(estimate.mean - exact) / estimate.std_error:+.2f}"
+        if z is not None:
+            line += f", z = {z:+.2f}"
         print(line + ")")
     return 0
 

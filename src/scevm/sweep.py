@@ -6,7 +6,9 @@ each rule, and draws the channels once for all of the point's rules,
 with a seed derived from everything except the rule, so the rules are
 compared on identical channels; evaluate_cells does this for the
 verification grid's cells too. It reports one row per point and rule, with
-a z score. Rows serialize to CSV and to a gnuplot script for quick looks.
+a z score from cell_row, which also scores verify's checks and eval --mc.
+Rows serialize to CSV, fields in CSV_HEADER order, and to a gnuplot script
+whose columns are looked up in that header.
 """
 
 import dataclasses
@@ -25,7 +27,9 @@ from .model import (
 )
 from .simulate import DEFAULT_SEED, derive_seed, estimate_evm_batch
 
-SWEEP_AXES = ("L", "M", "m_d", "rho")
+# axis (a CSV column) -> its SweepRow field, also SystemConfig's but for m_d
+_AXIS_FIELDS = {"L": "antennas", "M": "interferers", "m_d": "shape", "rho": "rho"}
+SWEEP_AXES = tuple(_AXIS_FIELDS)
 CSV_HEADER = "L,M,rule,m_d,rho,analytic,mc_mean,mc_stderr,z_score,status"
 
 STATUS_OK = "ok"
@@ -99,13 +103,9 @@ def cell_seed(seed, cfg):
 
 
 def _apply_axis(base, axis, value):
-    if axis == "L":
-        return dataclasses.replace(base, antennas=value)
-    if axis == "M":
-        return dataclasses.replace(base, interferers=value)
     if axis == "m_d":
         return dataclasses.replace(base, fading=Fading.nakagami(value))
-    return dataclasses.replace(base, rho=value)
+    return dataclasses.replace(base, **{_AXIS_FIELDS[axis]: value})
 
 
 def cell_row(cfg, rule, analytic, estimate):
@@ -181,10 +181,9 @@ def run_sweep(spec):
 
 
 def _unsupported(spec, value):
-    at = {"L": spec.base.antennas, "M": spec.base.interferers, "m_d": spec.base.fading.m,
-          "rho": spec.base.rho} | {spec.axis: value}
-    return {rule: SweepRow(at["L"], at["M"], rule.value, at["m_d"], at["rho"],
-                           status=STATUS_UNSUPPORTED) for rule in spec.rules}
+    at = {_AXIS_FIELDS[spec.axis]: value, "status": STATUS_UNSUPPORTED}
+    return {rule: dataclasses.replace(cell_row(spec.base, rule, None, None), **at)
+            for rule in spec.rules}
 
 
 def _cell(value):
@@ -196,16 +195,11 @@ def _cell(value):
 
 
 def emit_csv(rows):
-    """Serialize sweep rows to CSV text with a fixed header and '\\n' endings."""
+    """CSV text: CSV_HEADER, then each row's fields in order, with '\\n' endings."""
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_cell(v) for v in (
-            row.antennas, row.interferers, row.rule, row.shape, row.rho,
-            row.analytic, row.mc_mean, row.mc_stderr, row.z_score, row.status)))
+        lines.append(",".join(_cell(v) for v in dataclasses.astuple(row)))
     return "\n".join(lines) + "\n"
-
-
-_AXIS_COLUMN = {"L": 1, "M": 2, "m_d": 4, "rho": 5}
 
 
 def _curve_label(spec, rule):
@@ -234,7 +228,9 @@ def emit_plot_script(specs, csv_name="sweep.csv"):
     if len(axes) != 1:
         raise ConfigError(f"specs plot on a common axis, got {sorted(axes)}")
     axis = specs[0].axis
-    column = _AXIS_COLUMN[axis]
+    # gnuplot counts CSV columns from 1
+    x, exact, mean, stderr = (CSV_HEADER.split(",").index(name) + 1
+                              for name in (axis, "analytic", "mc_mean", "mc_stderr"))
     lines = [
         "set datafile separator ','",
         f"set xlabel '{axis}'",
@@ -248,9 +244,9 @@ def emit_plot_script(specs, csv_name="sweep.csv"):
         for rule in spec.rules:
             last_row = first_row + len(spec.values) - 1
             span = f"every ::{first_row}::{last_row}"
-            clauses.append(f"  '{csv_name}' {span} using {column}:6 "
+            clauses.append(f"  '{csv_name}' {span} using {x}:{exact} "
                            f"with lines title '{_curve_label(spec, rule)}'")
-            clauses.append(f"  '{csv_name}' {span} using {column}:7:8 "
+            clauses.append(f"  '{csv_name}' {span} using {x}:{mean}:{stderr} "
                            f"with yerrorbars notitle")
             first_row = last_row + 1
     lines.append(", \\\n".join(clauses))

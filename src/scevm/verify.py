@@ -17,7 +17,8 @@ symbol-level check likewise demodulates one set of gains and symbols under
 both rules. The grid's rows come from sweep.evaluate_cells, the one path
 that also evaluates every sweep point: the closed forms, then all cells'
 estimates as one plan of chunks shared out between two threads. A grid
-re-run is per rule; this module adds only the check policy.
+re-run is per rule; this module adds only the check policy. Grid and
+waveform checks alike print a sweep.cell_row row through one |z| <= 3 line.
 """
 
 import math
@@ -225,6 +226,13 @@ def _grid_cells():
             for antennas, interferers, fading, rho, rules in cells]
 
 
+def _z_check(name, row, label, note=""):
+    # the one agreement line of a SweepRow scored by sweep.cell_row
+    return CheckResult(name, abs(row.z_score) <= _Z_LIMIT,
+                       f"exact {row.analytic:.9g}, {label} {row.mc_mean:.9g} "
+                       f"+- {row.mc_stderr:.2g}, z {row.z_score:+.2f}{note}")
+
+
 def mc_grid(samples, seed=DEFAULT_SEED):
     """Monte Carlo z test of every grid configuration under each of its rules.
 
@@ -247,19 +255,15 @@ def mc_grid(samples, seed=DEFAULT_SEED):
         where = (f"L={cell.antennas} M={cell.interferers} {cell.fading.kind} "
                  f"m={cell.fading.m:g} rho={cell.rho:g}")
         for rule, row in cell_rows.items():
-            retried = abs(row.z_score) > _Z_LIMIT
-            if retried:
+            note = ""
+            if abs(row.z_score) > _Z_LIMIT:
                 cfg = replace(cell, rule=rule)
                 row = cell_row(cfg, rule, row.analytic, estimate_evm(
                     cfg, samples, seed=derive_seed(cell_seed(seed, cell), "retry")))
-            detail = (f"exact {row.analytic:.9g}, mc {row.mc_mean:.9g} "
-                      f"+- {row.mc_stderr:.2g}, z {row.z_score:+.2f}")
-            if retried:
-                detail += " (after one re-run)"
+                note = " (after one re-run)"
             if cell.antennas * cell.fading.m <= 1.0:
-                detail += " (infinite variance: L*m <= 1)"
-            checks.append(CheckResult(f"grid {rule.value} {where}",
-                                      abs(row.z_score) <= _Z_LIMIT, detail))
+                note += " (infinite variance: L*m <= 1)"
+            checks.append(_z_check(f"grid {rule.value} {where}", row, "mc", note))
             rows.append(row)
         # one antenna leaves nothing to select, so the rules tie
         if cell.antennas >= 2 and len(cell_rows) == 2:
@@ -277,21 +281,14 @@ def symbol_level_checks(seed=DEFAULT_SEED):
 
     Both rules demodulate the same drawn gains and symbols.
     """
+    cfg = SystemConfig(2, 1, SelectionRule.MAX_SIR)
     exacts = {SelectionRule.MAX_SIR: analytic.evm_max_sir_rayleigh(2, 1),
               SelectionRule.MAX_SIGNAL: analytic.evm_max_signal_rayleigh(2, 1)}
     estimates = estimate_evm_symbol_level_rules(
-        SystemConfig(2, 1, SelectionRule.MAX_SIR), tuple(exacts), _SYMBOL_SLOTS,
-        _SYMBOL_BLOCKS, seed=seed)
-    checks = []
-    for rule, exact in exacts.items():
-        estimate = estimates[rule]
-        z = (estimate.mean - exact) / estimate.std_error
-        checks.append(CheckResult(
-            f"symbol-level {rule.value} L=2 M=1",
-            abs(z) <= _Z_LIMIT,
-            f"exact {exact:.9g}, waveform mc {estimate.mean:.9g} "
-            f"+- {estimate.std_error:.2g}, z {z:+.2f}"))
-    return checks
+        cfg, tuple(exacts), _SYMBOL_SLOTS, _SYMBOL_BLOCKS, seed=seed)
+    return [_z_check(f"symbol-level {rule.value} L=2 M=1",
+                     cell_row(cfg, rule, exact, estimates[rule]), "waveform mc")
+            for rule, exact in exacts.items()]
 
 
 def run_verification(samples=1000000, seed=DEFAULT_SEED):

@@ -555,6 +555,29 @@ def test_max_sir_at_huge_shape_reaches_the_deterministic_limit(m):
     assert analytic.analytic_formula(cfg) == pytest.approx(0.9309430468124, abs=1e-9)
 
 
+@pytest.mark.parametrize("m", [2.0, 1e3, 1e7, 1e300, 1.7e308])
+@pytest.mark.parametrize("interferers", [2, 64, 256, 1024])
+def test_max_sir_single_antenna_past_the_sum_overflow(m, interferers):
+    # the M-term sum of the single-antenna CDF overflows at large M m, and
+    # k (1 + m x) at huge m; at L = 1 the EVM is exact, and from m = 1e7
+    # sqrt(m) Gamma(m - 1/2) / Gamma(m) is 1 + 3 / (8 m) to double precision
+    cfg = SystemConfig(1, interferers, SelectionRule.MAX_SIR, Fading.nakagami(m))
+    want = (exact_single_antenna(m, interferers) if m < 1e7
+            else _interferer_moment(interferers) * (1.0 + 3.0 / (8.0 * m)))
+    assert analytic.analytic_formula(cfg) == pytest.approx(want, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("m", [1e305, 1e307, 1e308, 1.7e308])
+@pytest.mark.parametrize("antennas,interferers", [(2, 2), (2, 5), (3, 2), (3, 5)])
+def test_max_sir_past_the_shape_overflow(m, antennas, interferers):
+    # m x overflows from m ~ 1e305 in the CDF's range; m = 1e300 is already
+    # the m -> inf limit
+    limit = analytic.analytic_formula(
+        SystemConfig(antennas, interferers, SelectionRule.MAX_SIR, Fading.nakagami(1e300)))
+    cfg = SystemConfig(antennas, interferers, SelectionRule.MAX_SIR, Fading.nakagami(m))
+    assert analytic.analytic_formula(cfg) == pytest.approx(limit, rel=0, abs=1e-13)
+
+
 def test_rule_ordering_analytic():
     for antennas in (2, 3, 4):
         for interferers in (1, 2, 4):

@@ -138,6 +138,8 @@ def test_uncovered_configuration_with_mc_succeeds(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "analytic evm: none" in out and "mc evm:" in out
+    # no closed form, so no z score
+    assert "z =" not in out
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

@@ -23,6 +23,7 @@ from scevm.model import (
 from scevm.simulate import estimate_evm
 from scevm.sweep import (
     CSV_HEADER,
+    SweepRow,
     SweepSpec,
     cell_seed,
     emit_csv,
@@ -218,16 +219,29 @@ def test_run_sweep_statuses():
     assert rows[1].z_score is not None
 
 
-def test_run_sweep_unsupported_configuration():
-    spec = SweepSpec(axis="L", values=(2, 3),
-                     base=SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.5),
-                     samples=5000, seed=1)
-    rows = run_sweep(spec)
-    assert rows[0].status == "ok"
+@pytest.mark.parametrize("axis,values,base,supported", [
     # three correlated antennas cannot be configured at all
-    assert rows[1].status == "unsupported"
-    assert rows[1].antennas == 3 and rows[1].rho == 0.5
-    assert rows[1].mc_mean is None and rows[1].analytic is None
+    ("L", (2, 3), SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.5), (True, False)),
+    ("M", (0, 1), SystemConfig(2, 2, SelectionRule.MAX_SIR, Fading.nakagami(2.0)),
+     (False, True)),
+    # correlation is modelled for Rayleigh desired fading only
+    ("m_d", (0.5, 2.0), SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.5), (False, False)),
+    ("rho", (0.0, 0.5), SystemConfig(3, 1, SelectionRule.MAX_SIR), (True, False)),
+], ids=["L", "M", "m_d", "rho"])
+def test_run_sweep_unsupported_configuration(axis, values, base, supported):
+    rules = (SelectionRule.MAX_SIR, SelectionRule.MAX_SIGNAL)
+    spec = SweepSpec(axis=axis, values=values, base=base, samples=5000, seed=1, rules=rules)
+    rows = run_sweep(spec)
+    assert len(rows) == 2 * len(values)
+    field = {"L": "antennas", "M": "interferers", "m_d": "shape", "rho": "rho"}[axis]
+    for row, (rule, (value, ok)) in zip(rows, itertools.product(rules, zip(values, supported))):
+        if ok:
+            assert row.status == "ok" and row.rule == rule.value and row.mc_mean is not None
+        else:
+            # the swept coordinate, base values elsewhere, and nothing evaluated
+            assert row == dataclasses.replace(
+                SweepRow(base.antennas, base.interferers, rule.value, base.fading.m, base.rho,
+                         status="unsupported"), **{field: value})
 
 
 def test_run_sweep_uncovered_configuration_still_simulates():
@@ -443,6 +457,13 @@ def test_plot_script_structure():
     # a line and its error bars per (spec, rule) curve
     assert script.count("'fig2.csv'") == 2 * sum(len(spec.rules) for spec in specs) == 4
     assert "using 5:6" in script  # rho is column 5
+    # the other axes' columns; the analytic line is column 6, and the Monte
+    # Carlo mean and standard error are columns 7 and 8
+    for axis, column in (("L", 1), ("M", 2), ("m_d", 4), ("rho", 5)):
+        spec = SweepSpec(axis=axis, values=(1, 2), base=BASE)
+        script = emit_plot_script([spec])
+        assert f"using {column}:6 with lines" in script
+        assert f"using {column}:7:8 with yerrorbars" in script
     with pytest.raises(ConfigError):
         emit_plot_script([])
     mixed = [SweepSpec(axis="L", values=(1, 2), base=BASE),

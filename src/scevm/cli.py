@@ -6,8 +6,8 @@ verification suite, and `sweep` produces the built-in comparison tables
 with gnuplot companions.
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 numerical
-failure (divergent moment, a tail or quadrature that cannot reach its
-accuracy), 3 verification found a disagreement.
+failure (divergent moment; without --mc, a tail or quadrature that cannot
+reach its accuracy), 3 verification found a disagreement.
 """
 
 import argparse
@@ -17,9 +17,9 @@ from pathlib import Path
 
 from .analytic import analytic_formula, formula_name
 from .model import (ConfigError, Fading, NumericalError, SelectionRule, SystemConfig,
-                    check_number, check_seed)
-from .simulate import DEFAULT_SEED, estimate_evm
-from .sweep import cell_row, emit_csv, emit_plot_script, preset, run_sweep
+                    check_count, check_number, check_seed)
+from .simulate import DEFAULT_SEED
+from .sweep import STATUS_DIVERGED, emit_csv, emit_plot_script, evaluate_cells, preset, run_sweep
 from .verify import run_verification
 
 _EVAL_DEFAULTS = {
@@ -115,16 +115,7 @@ def _system_config(settings):
         raise ConfigError(
             f"unknown rule {settings['rule']!r}; "
             f"choose max-sir or max-signal") from None
-    kind = settings["fading"]
-    shape = check_number(settings["md"], "md")
-    if kind == "rayleigh":
-        if shape != 1.0:
-            raise ConfigError("md is a nakagami parameter; rayleigh fixes it at 1")
-        fading = Fading.rayleigh()
-    elif kind == "nakagami":
-        fading = Fading.nakagami(shape)
-    else:
-        raise ConfigError(f"unknown fading {kind!r}; choose rayleigh or nakagami")
+    fading = Fading(settings["fading"], check_number(settings["md"], "md"))
     return SystemConfig(settings["L"], settings["M"], rule, fading, settings["rho"])
 
 
@@ -138,23 +129,27 @@ def _cmd_eval(args):
     settings = _resolve_eval_settings(args)
     cfg = _system_config(settings)
     seed = check_seed(settings["seed"])
-    exact = analytic_formula(cfg)
+    name = formula_name(cfg)
+    if args.mc:
+        # a sweep point's row, on the raw seed: estimate_evm(cfg, samples, seed)
+        row = evaluate_cells([(cfg, (cfg.rule,), seed)], settings["samples"])[0][cfg.rule]
+    # raises for a diverged row, and without --mc for a failing route too
+    exact = row.analytic if args.mc and row.status != STATUS_DIVERGED else analytic_formula(cfg)
     print(f"L={cfg.antennas} M={cfg.interferers} rule={cfg.rule.value} "
           f"fading={cfg.fading.kind} m={_exact_text(cfg.fading.m)} rho={_exact_text(cfg.rho)}")
-    if exact is None and not args.mc:
+    if name is None and not args.mc:
         raise ConfigError("no closed form covers this configuration; "
                           "re-run with --mc for a simulated value")
-    if exact is None:
+    if name is None:
         print("analytic evm: none (configuration not covered by a closed form)")
+    elif exact is None:
+        print(f"analytic evm: none ({name} failed numerically)")
     else:
-        print(f"analytic evm: {exact:.15g} [{formula_name(cfg)}]")
+        print(f"analytic evm: {exact:.15g} [{name}]")
     if args.mc:
-        estimate = estimate_evm(cfg, settings["samples"], seed=seed)
-        z = cell_row(cfg, cfg.rule, exact, estimate).z_score
-        line = (f"mc evm: {estimate.mean:.15g} +- {estimate.std_error:.3g} "
-                f"({estimate.samples} samples")
-        if z is not None:
-            line += f", z = {z:+.2f}"
+        line = f"mc evm: {row.mc_mean:.15g} +- {row.mc_stderr:.3g} ({settings['samples']} samples"
+        if row.z_score is not None:
+            line += f", z = {row.z_score:+.2f}"
         print(line + ")")
     return 0
 
@@ -165,6 +160,7 @@ def _write_text(path, text):
 
 
 def _cmd_verify(args):
+    check_count(args.samples, "samples", 2)
     print(f"grid samples per cell: {args.samples} "
           f"(std error scales as 1/sqrt(samples); pass line stays |z| <= 3)")
     report = run_verification(samples=args.samples, seed=args.seed)

@@ -4,9 +4,9 @@ A sweep varies one axis of a base configuration under one or more
 selection rules. At each point it evaluates whichever closed form covers
 each rule, and draws the channels once for all of the point's rules,
 with a seed derived from everything except the rule, so the rules are
-compared on identical channels; evaluate_cells does this for the
-verification grid's cells too. It reports one row per point and rule, with
-a z score from cell_row, which also scores verify's checks and eval --mc.
+compared on identical channels. evaluate_cells does this for each cell, a
+configuration with its rules and seed: sweep points, verify's grid cells and
+re-runs, and eval --mc. One row per point and rule, z scored by cell_row.
 Rows serialize to CSV, fields in CSV_HEADER order, and to a gnuplot script
 whose columns are looked up in that header.
 """
@@ -59,7 +59,7 @@ class SweepSpec:
         values = tuple(self.values)
         if not values:
             raise ConfigError("values must be non-empty")
-        if any(b <= a for a, b in zip(values, values[1:])):
+        if any(not b > a for a, b in zip(values, values[1:])):  # NaN too
             raise ConfigError(f"values must be strictly increasing, got {values}")
         object.__setattr__(self, "values", values)
         if not isinstance(self.base, SystemConfig):
@@ -122,21 +122,21 @@ def cell_row(cfg, rule, analytic, estimate):
         z_score=(estimate.mean - analytic) / estimate.std_error if scored else None)
 
 
-def evaluate_cells(cells, samples, seed):
-    """Closed form and shared-draw estimate of each (SystemConfig, rules) cell.
+def evaluate_cells(cells, samples):
+    """Closed form and shared-draw estimate of each (SystemConfig, rules, seed) cell.
 
     Per rule: a provably infinite EVM gives a `diverged` row and no draws;
     no closed form, or a route that fails numerically (NumericalError, e.g.
     a tail past the double range), leaves the analytic and z columns empty.
     The rules left are estimated as one estimate_evm_batch plan, each cell
-    on the draws of cell_seed(seed, cfg), which gives each rule the bits of
-    its own single-rule estimate.
+    on the draws of its own seed, which gives each rule the bits of
+    estimate_evm(cfg, samples, seed) under that rule.
 
     Returns:
         one {rule: SweepRow} per cell, in the order of its rules.
     """
     exacts = []  # per cell: {rule: closed form or None}, but the diverged rules
-    for cfg, rules in cells:
+    for cfg, rules, _ in cells:
         exact = {}
         for rule in rules:
             try:
@@ -147,10 +147,10 @@ def evaluate_cells(cells, samples, seed):
                 exact[rule] = None
         exacts.append(exact)
     batch = iter(estimate_evm_batch(
-        [(cfg, tuple(exact), samples, cell_seed(seed, cfg))
-         for (cfg, _), exact in zip(cells, exacts) if exact]))
+        [(cfg, tuple(exact), samples, seed)
+         for (cfg, _, seed), exact in zip(cells, exacts) if exact]))
     evaluated = []
-    for (cfg, rules), exact in zip(cells, exacts):
+    for (cfg, rules, _), exact in zip(cells, exacts):
         estimates = next(batch) if exact else {}
         evaluated.append({rule: cell_row(cfg, rule, exact.get(rule), estimates.get(rule))
                           for rule in rules})
@@ -173,8 +173,8 @@ def run_sweep(spec):
             points.append(_apply_axis(spec.base, spec.axis, value))
         except (ConfigError, ValueError):
             points.append(None)
-    evaluated = iter(evaluate_cells(
-        [(point, spec.rules) for point in points if point is not None], spec.samples, spec.seed))
+    evaluated = iter(evaluate_cells([(point, spec.rules, cell_seed(spec.seed, point))
+                                     for point in points if point is not None], spec.samples))
     cells = [next(evaluated) if point is not None else _unsupported(spec, value)
              for value, point in zip(spec.values, points)]
     return [cell[rule] for rule in spec.rules for cell in cells]

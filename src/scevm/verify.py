@@ -16,18 +16,19 @@ that max-SIR beats max-signal on those draws, not merely on average. The
 symbol-level check likewise demodulates one set of gains and symbols under
 both rules. The grid's rows come from sweep.evaluate_cells, the one path
 that also evaluates every sweep point: the closed forms, then all cells'
-estimates as one plan of chunks shared out between two threads. A grid
-re-run is per rule; this module adds only the check policy. Grid and
-waveform checks alike print a sweep.cell_row row through one |z| <= 3 line.
+estimates, each cell on its own seed, as one plan of chunks shared out
+between two threads. A grid re-run is a one-cell call on a derived seed;
+this module adds only the check policy. Grid and waveform checks alike
+print a sweep.cell_row row through one |z| <= 3 line.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import analytic
 from .analytic import analytic_formula
 from .model import Fading, SelectionRule, SystemConfig, check_count, check_seed
-from .simulate import DEFAULT_SEED, derive_seed, estimate_evm, estimate_evm_symbol_level_rules
+from .simulate import DEFAULT_SEED, derive_seed, estimate_evm_symbol_level_rules
 from .sweep import cell_row, cell_seed, evaluate_cells
 
 _ANCHOR_TOL = 1e-10
@@ -250,16 +251,15 @@ def mc_grid(samples, seed=DEFAULT_SEED):
     """
     checks = []
     rows = []
-    cells = _grid_cells()
-    for (cell, _), cell_rows in zip(cells, evaluate_cells(cells, samples, seed)):
+    cells = [(cfg, rules, cell_seed(seed, cfg)) for cfg, rules in _grid_cells()]
+    for (cell, _, _), cell_rows in zip(cells, evaluate_cells(cells, samples)):
         where = (f"L={cell.antennas} M={cell.interferers} {cell.fading.kind} "
                  f"m={cell.fading.m:g} rho={cell.rho:g}")
         for rule, row in cell_rows.items():
             note = ""
             if abs(row.z_score) > _Z_LIMIT:
-                cfg = replace(cell, rule=rule)
-                row = cell_row(cfg, rule, row.analytic, estimate_evm(
-                    cfg, samples, seed=derive_seed(cell_seed(seed, cell), "retry")))
+                retry = derive_seed(cell_seed(seed, cell), "retry")
+                row = evaluate_cells([(cell, (rule,), retry)], samples)[0][rule]
                 note = " (after one re-run)"
             if cell.antennas * cell.fading.m <= 1.0:
                 note += " (infinite variance: L*m <= 1)"

@@ -8,6 +8,7 @@ import pytest
 
 from scevm.cli import main
 from scevm.model import Fading, SelectionRule, SystemConfig
+from scevm.simulate import estimate_evm
 
 ANALYTIC_LINE = re.compile(r"analytic evm: ([0-9.eE+-]+)")
 
@@ -95,6 +96,14 @@ def test_eval_with_mc(capsys):
     assert "mc evm:" in out and "20000 samples" in out and "z =" in out
 
 
+def test_eval_mc_prints_the_estimate_of_its_raw_seed(capsys):
+    # eval's seed is not cell_seed'ed as a sweep point's is
+    assert main(["eval", "--mc", "--samples", "3000", "--seed", "5"]) == 0
+    estimate = estimate_evm(SystemConfig(2, 1, SelectionRule.MAX_SIR), 3000, seed=5)
+    assert (f"mc evm: {estimate.mean:.15g} +- {estimate.std_error:.3g} (3000 samples, z = "
+            in capsys.readouterr().out)
+
+
 def test_eval_mc_is_seed_deterministic(capsys):
     main(["eval", "--mc", "--samples", "20000", "--seed", "3"])
     first = capsys.readouterr().out
@@ -126,6 +135,15 @@ def test_divergent_moment_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_divergent_moment_with_mc_exits_2_before_printing(capsys):
+    # the diverged row draws nothing, so there is no value to print
+    code = main(["eval", "--fading", "nakagami", "--md", "0.4", "--M", "2", "--L", "1",
+                 "--mc", "--samples", "2000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "EVM is infinite" in captured.err
+
+
 def test_uncovered_configuration_without_mc_exits_1(capsys):
     code = main(["eval", "--rho", "0.5", "--M", "2", "--rule", "max-sir", "--L", "2"])
     assert code == 1
@@ -140,6 +158,35 @@ def test_uncovered_configuration_with_mc_succeeds(capsys):
     assert "analytic evm: none" in out and "mc evm:" in out
     # no closed form, so no z score
     assert "z =" not in out
+
+
+def test_failing_route_with_mc_keeps_the_simulated_value(capsys):
+    # the x^-1.01 tail of this route reaches past the double range; a sweep
+    # point here is an ok row with Monte Carlo columns, and so is eval --mc
+    argv = ["eval", "--L", "1", "--M", "2", "--fading", "nakagami", "--md", "0.505"]
+    code = main(argv + ["--mc", "--samples", "2000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "analytic evm: none (evm_from_sir_cdf failed numerically)" in out
+    assert "mc evm:" in out and "2000 samples" in out
+    assert "z =" not in out
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "double range" in captured.err
+
+
+def test_eval_mc_refuses_samples_before_printing(capsys):
+    assert main(["eval", "--mc", "--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "samples must be an integer >= 2" in captured.err
+
+
+def test_verify_refuses_samples_before_printing(capsys):
+    assert main(["verify", "--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "samples must be an integer >= 2" in captured.err
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

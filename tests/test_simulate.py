@@ -504,6 +504,21 @@ def test_verification_report_is_frozen():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == VERIFICATION_REPORT_SHA256
 
 
+# the same text for seed=1, where three grid checks fail |z| <= 3 at first:
+# it pins their re-run rows, drawn on each cell's retry seed
+VERIFICATION_RERUN_REPORT_SHA256 = (
+    "83482cbf665c1662df7a3dea8333ca76f27a369f45903c06dae038e715d44e61")
+
+
+def test_verification_report_with_grid_reruns_is_frozen():
+    report = verify.run_verification(samples=2000, seed=1)
+    text = "".join(f"{c.name}|{c.passed}|{c.detail}\n" for c in report.checks)
+    text += emit_csv(report.rows)
+    assert (len(report.checks), report.passed) == (108, True)
+    assert sum("after one re-run" in c.detail for c in report.checks) == 3
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == VERIFICATION_RERUN_REPORT_SHA256
+
+
 # correlated powers: the pair kernel forms h2 over h1 in place, so its
 # operand order must give the bits of pairs formed from whole fills. 70001
 # blocks span three of the correlated path's row slices.

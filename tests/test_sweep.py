@@ -331,19 +331,23 @@ def test_evaluate_cells_mixed_call(monkeypatch):
         (SystemConfig(2, 2, "max_sir", rho=0.5), (SelectionRule.MAX_SIR,)),  # no route
         (SystemConfig(1, 2, "max_signal", Fading.nakagami(0.505)), both),  # tail too slow
     ]
+    # each cell carries its seed: cell_seed as a sweep gives it, then a raw
+    # seed as eval --mc gives it, whose row is estimate_evm(cfg, samples, seed)
+    cells = [(cfg, rules, cell_seed(11, cfg)) for cfg, rules in cells]
+    cells.append((SystemConfig(3, 2, "max_signal"), (SelectionRule.MAX_SIGNAL,), 11))
     calls = []
     original = sweep.estimate_evm_batch
 
     def counting(requests):
-        calls.append([(cfg, rules) for cfg, rules, _, _ in requests])
+        calls.append([(cfg, rules, seed) for cfg, rules, _, seed in requests])
         return original(requests)
 
     monkeypatch.setattr(sweep, "estimate_evm_batch", counting)
-    evaluated = evaluate_cells(cells, 3000, 11)
+    evaluated = evaluate_cells(cells, 3000)
     # one plan, without the diverged cell
-    assert calls == [[cells[0], cells[2], cells[3]]]
-    assert [tuple(rows) for rows in evaluated] == [rules for _, rules in cells]
-    for index, ((cfg, _), rows) in enumerate(zip(cells, evaluated)):
+    assert calls == [[cells[0], cells[2], cells[3], cells[4]]]
+    assert [tuple(rows) for rows in evaluated] == [rules for _, rules, _ in cells]
+    for index, ((cfg, _, seed), rows) in enumerate(zip(cells, evaluated)):
         for rule, row in rows.items():
             point = dataclasses.replace(cfg, rule=rule)
             assert (row.antennas, row.interferers, row.rule, row.shape, row.rho) == (
@@ -352,14 +356,26 @@ def test_evaluate_cells_mixed_call(monkeypatch):
                 assert (row.analytic, row.mc_mean, row.mc_stderr, row.z_score,
                         row.status) == (None, None, None, None, "diverged")
                 continue
-            reference = estimate_evm(point, 3000, seed=cell_seed(11, cfg))
+            reference = estimate_evm(point, 3000, seed=seed)
             assert (row.mc_mean, row.mc_stderr, row.status) == (
                 reference.mean, reference.std_error, "ok")
-            if index == 0:
+            if index in (0, 4):
                 assert row.analytic == analytic_formula(point)
                 assert row.z_score == (reference.mean - row.analytic) / reference.std_error
             else:
                 assert (row.analytic, row.z_score) == (None, None)
+
+
+@pytest.mark.parametrize("axis, values, base", [
+    ("rho", (0.1, float("nan"), 0.5), BASE),
+    ("rho", (float("nan"), 0.5), BASE),
+    ("m_d", (0.6, float("nan"), 1.0), SystemConfig(2, 1, "max_signal", Fading.nakagami(1.0))),
+    ("m_d", (0.6, float("nan")), SystemConfig(2, 1, "max_signal", Fading.nakagami(1.0))),
+], ids=["rho-inner", "rho-first", "m_d-inner", "m_d-last"])
+def test_spec_refuses_nan_among_its_values(axis, values, base):
+    # NaN compares false both ways, so it would pass a test of b <= a
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        SweepSpec(axis, values, base)
 
 
 def test_two_rule_spec_draws_each_point_once(monkeypatch):

@@ -5,7 +5,8 @@ Three commands: `eval` prints the closed-form EVM of one configuration
 verification suite, and `sweep` produces the built-in comparison tables
 with gnuplot companions.
 
-Exit codes: 0 success, 1 invalid configuration or arguments, 2 numerical
+Exit codes: 0 success, 1 invalid configuration or arguments, or a file
+that cannot be read or written, 2 numerical
 failure (divergent moment; without --mc, a tail or quadrature that cannot
 reach its accuracy), 3 verification found a disagreement.
 """
@@ -177,14 +178,21 @@ def _cmd_verify(args):
 
 def _cmd_sweep(args):
     specs = preset(args.preset, samples=args.samples, seed=args.seed)
+    if args.out is not None:
+        # the script needs only the specs, so a refused --out costs no draws
+        out = Path(args.out)
+        plot_path = out.with_suffix(".plot")
+        if plot_path == out:
+            raise ConfigError(f"--out {args.out} is where the plot script goes; "
+                              f"give the CSV another suffix")
+        plot_text = emit_plot_script(specs, csv_name=out.name)
     rows = [row for spec in specs for row in run_sweep(spec)]
     csv_text = emit_csv(rows)
     if args.out is None:
         sys.stdout.write(csv_text)
         return 0
     _write_text(args.out, csv_text)
-    plot_path = Path(args.out).with_suffix(".plot")
-    _write_text(plot_path, emit_plot_script(specs, csv_name=Path(args.out).name))
+    _write_text(plot_path, plot_text)
     print(f"wrote {args.out} and {plot_path}")
     return 0
 
@@ -200,7 +208,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -63,12 +63,16 @@ CONSTELLATIONS = {"qpsk": _QPSK, "16qam": _QAM16}
 
 @dataclass(frozen=True)
 class EvmEstimate:
-    """Monte Carlo EVM estimate with its own accuracy assessment."""
+    """Monte Carlo EVM estimate with its own accuracy assessment.
+
+    A draw whose selected desired gain is zero is left out and counted, so
+    `samples` falls short of the request by `rejected`.
+    """
 
     mean: float
     std_error: float
     samples: int   # draws (or blocks) that entered the mean
-    rejected: int  # zero/underflowed-desired-power draws replaced by later ones
+    rejected: int  # draws left out for a zero/underflowed selected desired power
 
 
 def derive_seed(base, *parts):
@@ -276,7 +280,7 @@ class _Request:
 
     chunk_values(rng, rules, rows) draws a chunk of `size` blocks from rng
     and returns, per rule, the values of its first `rows` blocks.
-    reduce(values) is what the estimate keeps of a chunk's kept values.
+    reduce(values) is what the estimate keeps of a chunk's finite values.
     """
 
     stream: int
@@ -287,72 +291,52 @@ class _Request:
     reduce: object
     failure: str
 
-    def values(self, chunk, rules, rows=None):
-        """Chunk `chunk` under each of `rules`: its first `rows` values, default all."""
-        return self.chunk_values(_chunk_rng(self.stream, chunk), rules,
-                                 self.size if rows is None else rows)
-
     def planned(self):
-        """(chunk, rows) of every chunk an estimate needs if no block is rejected."""
+        """(chunk, rows) of every chunk of the estimate; only the last may be partial."""
         chunks = -(-self.wanted // self.size)
         return [(chunk, min(self.size, self.wanted - chunk * self.size))
                 for chunk in range(chunks)]
 
 
-def _keep(values, need):
-    """The first `need` finite values, or all if fewer, and the non-finite ones skipped.
-
-    A zero or underflowed selected desired gain makes a value non-finite;
-    such blocks are skipped and replaced by later ones.
-    """
-    finite = np.isfinite(values)
-    if finite.all():
-        return values[:need], 0
-    finite = np.flatnonzero(finite)
-    if finite.size >= need:
-        return values[finite[:need]], int(finite[need - 1]) + 1 - need
-    return values[finite], values.size - finite.size
-
-
 def _planned_chunk(request, chunk, rows):
-    # per rule, the serial loop's (reduced, kept, skipped) of the chunk's first rows
-    kept = []
-    for values in request.values(chunk, request.rules, rows):
-        values, skipped = _keep(values, rows)
-        kept.append((request.reduce(values), values.size, skipped))
-    return kept
+    """Per rule, (reduce() of the finite values of the chunk's first rows, count left out).
+
+    A zero or underflowed selected desired gain makes a value non-finite.
+    """
+    reduced = []
+    for values in request.chunk_values(_chunk_rng(request.stream, chunk), request.rules, rows):
+        finite = np.isfinite(values)
+        left_out = values.size - int(np.count_nonzero(finite))
+        reduced.append((request.reduce(values[finite] if left_out else values), left_out))
+    return reduced
 
 
 def _collect(requests):
     """The chunk loop shared by both estimators, over a plan of estimates.
 
-    A request's chunk i comes from the (stream, i) generator. Non-finite
-    values are skipped and replaced by later ones, and reduce(kept values)
-    is stored. A rule stops taking chunks once it holds `wanted` values, so
-    each rule's result is the one a single-rule run gives. NumericalError
-    (message `failure`) is raised once a rule has rejected more than 1% of
-    `wanted`.
+    A request's plan is ceil(wanted / size) chunks, and chunk i comes from
+    the (stream, i) generator. Every chunk but the last gives `size` rows,
+    and the last draws only the rest of `wanted`. Of each chunk's rows, the
+    values that are not finite are left out and counted, and reduce(the
+    rest) is stored, so a rule's result rests on wanted minus its left-out
+    count. NumericalError (message `failure`) is raised once a rule has left
+    out more than 1% of `wanted`.
 
-    The plan holds every chunk that each estimate needs if no block is
-    rejected: ceil(wanted / size) chunks, the last of which draws only the
-    rows it keeps. Rejections only add chunks, so a serial run draws every
-    planned chunk too. The caller and the plan's helper thread each take the
-    next chunk of the plan that no thread has taken, so neither waits at the
-    end of an estimate for the other's chunk. A job keeps and reduces its
-    finite values, and the caller tallies the jobs in plan order. A partial
-    last chunk stands for the full one only where it holds all that a rule
-    still needs. Otherwise the caller's serial loop draws it in full for
-    that rule, and then any chunks past the plan. So every result is the
-    serial one bit for bit. An exception raised by a job is raised here.
-    The helper is joined before this returns or raises, so no job runs on
-    and no thread outlives the call; concurrent calls each bring their own
-    helper. The two threads overlap because numpy releases the interpreter
-    lock while it fills and combines arrays; a third would hold a third
-    chunk in memory, for a core that two-core machines do not have.
+    The caller and the plan's helper thread each take the next chunk of the
+    plan that no thread has taken, so neither waits at the end of an
+    estimate for the other's chunk. The caller adds the jobs up in plan
+    order, so every result is the one-thread one bit for bit, and each
+    rule's is the one a single-rule run gives. An exception raised by a job
+    is raised here. The helper is joined before this returns or raises, so
+    no job runs on and no thread outlives the call; concurrent calls each
+    bring their own helper. The two threads overlap because numpy releases
+    the interpreter lock while it fills and combines arrays; a third would
+    hold a third chunk in memory, for a core that two-core machines do not
+    have.
 
     Returns:
         per request, {rule: (list of reduce() results in chunk order,
-        rejected count)}.
+        left-out count)}.
     """
     planned = [request.planned() for request in requests]
     plan = _Plan([functools.partial(_planned_chunk, request, chunk, rows)
@@ -363,33 +347,17 @@ def _collect(requests):
         if plan.jobs:
             plan.run(0)
         for request, chunks in zip(requests, planned):
-            rules, wanted = request.rules, request.wanted
-            kept = dict.fromkeys(rules, 0)
-            rejected = dict.fromkeys(rules, 0)
-            parts = {rule: [] for rule in rules}
-
-            def tally(rule, part, count, skipped):
-                parts[rule].append(part)
-                kept[rule] += count
-                rejected[rule] += skipped
-                if rejected[rule] > 0.01 * wanted:
-                    raise NumericalError(request.failure.format(
-                        rejected=rejected[rule], wanted=wanted))
-
-            for _, rows in chunks:
-                for rule, (part, count, skipped) in zip(rules, plan.result(index)):
-                    # a partial chunk counts only if it holds all the rule needs
-                    if rows == request.size or count >= wanted - kept[rule]:
-                        tally(rule, part, count, skipped)
+            parts = {rule: [] for rule in request.rules}
+            rejected = dict.fromkeys(request.rules, 0)
+            for _ in chunks:
+                for rule, (part, left_out) in zip(request.rules, plan.result(index)):
+                    parts[rule].append(part)
+                    rejected[rule] += left_out
+                    if rejected[rule] > 0.01 * request.wanted:
+                        raise NumericalError(request.failure.format(
+                            rejected=rejected[rule], wanted=request.wanted))
                 index += 1
-            # the serial loop, from the partial last chunk if there is one
-            chunk = len(chunks) - (chunks[-1][1] < request.size)
-            while active := [rule for rule in rules if kept[rule] < wanted]:
-                for rule, values in zip(active, request.values(chunk, active)):
-                    values, skipped = _keep(values, wanted - kept[rule])
-                    tally(rule, request.reduce(values), values.size, skipped)
-                chunk += 1
-            collected.append({rule: (parts[rule], rejected[rule]) for rule in rules})
+            collected.append({rule: (parts[rule], rejected[rule]) for rule in request.rules})
     finally:
         plan.close()
     return collected
@@ -430,7 +398,9 @@ def estimate_evm_batch(requests):
     Each chunk of a request's channel powers is drawn once and shared by its
     rules (duplicates merged), so they are compared on identical channels;
     cfg.rule is ignored. samples is the fading blocks per rule, an integer
-    >= 2, and the same (cfg, samples, seed) gives identical output. The
+    >= 2, and the same (cfg, samples, seed) gives identical output. A block
+    whose selected desired power is zero is left out and counted, so an
+    estimate's samples fall short of the request by its rejected count. The
     requests run as one plan: the two threads share out their chunks, so
     neither waits at the end of one estimate for the other to finish its
     chunk. Every request is checked before any chunk is drawn.
@@ -457,9 +427,9 @@ def estimate_evm_batch(requests):
             "{wanted}; the configuration is too degenerate to average"))
     estimates = []
     for request, collected in zip(plan, _collect(plan)):
-        samples = request.wanted
         estimates.append({})
         for rule, (sums, rejected) in collected.items():
+            samples = request.wanted - rejected
             total = math.fsum(chunk_sum for chunk_sum, _ in sums)
             square_total = math.fsum(chunk_square for _, chunk_square in sums)
             mean = total / samples
@@ -565,7 +535,7 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
         seed: base seed, domain-separated from estimate_evm.
 
     Returns:
-        {rule: EvmEstimate over blocks}, in the order given.
+        {rule: EvmEstimate over the blocks kept}, in the order given.
     """
     rules = _check_rules(cfg, rules)
     slots = check_count(slots, "slots", 1)
@@ -586,8 +556,8 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
         values = np.concatenate(block_evms)
         estimates[rule] = EvmEstimate(
             mean=float(values.mean()),
-            std_error=float(values.std(ddof=1)) / math.sqrt(blocks),
-            samples=blocks, rejected=rejected)
+            std_error=float(values.std(ddof=1)) / math.sqrt(values.size),
+            samples=values.size, rejected=rejected)
     return estimates
 
 

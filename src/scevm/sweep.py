@@ -220,10 +220,14 @@ def emit_plot_script(specs, csv_name="sweep.csv"):
 
     Assumes the CSV concatenates the specs' rows in order. Each (spec,
     rule) curve becomes an analytic line plus Monte Carlo error bars.
+    csv_name is quoted as a gnuplot string, so it may hold no quote and no
+    line break.
     """
     specs = list(specs)
     if not specs:
         raise ConfigError("specs must be non-empty")
+    if any(char in csv_name for char in "'\n\r"):
+        raise ConfigError(f"csv_name {csv_name!r} cannot be quoted in a gnuplot script")
     axes = {spec.axis for spec in specs}
     if len(axes) != 1:
         raise ConfigError(f"specs plot on a common axis, got {sorted(axes)}")

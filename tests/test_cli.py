@@ -271,6 +271,42 @@ def test_sweep_writes_csv_and_plot(tmp_path, capsys):
     assert "plot \\" in plot.read_text()
 
 
+@pytest.mark.parametrize("config", ["missing.json", "."])
+def test_config_file_that_cannot_be_read_exits_1(tmp_path, capsys, config):
+    assert main(["eval", "--config", str(tmp_path / config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "--samples", "2000"], id="verify"),
+    pytest.param(["sweep", "--preset", "fig2", "--samples", "2000"], id="sweep"),
+])
+def test_out_into_a_missing_directory_exits_1(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "missing" / "grid.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("name", ["fig2.plot", "it's.csv"])
+def test_sweep_refuses_an_out_before_drawing(tmp_path, capsys, monkeypatch, name):
+    # fig2.plot would be overwritten by its own plot script, and a quote in
+    # the name would unbalance the script's gnuplot string
+    import scevm.cli as cli
+
+    def no_draws(spec):
+        raise AssertionError("drew a sweep for a refused --out")
+
+    monkeypatch.setattr(cli, "run_sweep", no_draws)
+    assert main(["sweep", "--preset", "fig2", "--samples", "2000",
+                 "--out", str(tmp_path / name)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_stdout_when_no_out(capsys):
     code = main(["sweep", "--preset", "fig2", "--samples", "2000"])
     out = capsys.readouterr().out

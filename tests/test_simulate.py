@@ -250,8 +250,8 @@ def test_zero_power_draws_are_rejected_and_counted():
     cfg = SystemConfig(1, 1, SelectionRule.MAX_SIGNAL, Fading.nakagami(0.01))
     estimate = estimate_evm(cfg, 30000, seed=37)
     assert estimate.rejected > 0
-    # rejected draws are replaced, so the mean still rests on every sample
-    assert estimate.samples == 30000
+    # rejected draws are left out, so the mean rests on the rest of the request
+    assert estimate.samples == 30000 - estimate.rejected
     assert math.isfinite(estimate.mean)
 
 
@@ -396,15 +396,14 @@ def test_symbol_level_shared_draws_equal_single_rule_estimates(cfg):
         assert shared[rule] == single, rule
 
 
-@pytest.mark.parametrize("wanted, drawn, sir_parts, sir_rejected", [
-    # max-SIR needs a third chunk where max-signal is done after two
-    pytest.param(400, [200, 200, 200], 3, 3, id="400"),
-    # both rules take the last chunk's 100 rows; max-signal keeps them, and
-    # max-SIR, one short, redraws that chunk in full
-    pytest.param(300, [100, 200, 200], 2, 2, id="300"),
+@pytest.mark.parametrize("wanted, rows", [
+    pytest.param(400, [200, 200], id="400"),
+    # the last chunk draws its 100 planned rows alone
+    pytest.param(300, [200, 100], id="300"),
 ])
-def test_rules_stop_taking_chunks_independently(wanted, drawn, sir_parts, sir_rejected):
-    # max-SIR loses the first block of every chunk; neither rule sees the other
+def test_rules_stop_taking_chunks_independently(wanted, rows):
+    # max-SIR leaves out the first block of every chunk; neither rule sees
+    # the other, and both take exactly the planned rows
     draws = []
 
     def chunk_values(rng, rules, rows):
@@ -426,20 +425,19 @@ def test_rules_stop_taking_chunks_independently(wanted, drawn, sir_parts, sir_re
         return _collect([request])[0], sorted(draws)
 
     shared, shared_draws = run(BOTH_RULES)
-    assert shared_draws == drawn
-    # what a serial loop keeps: every chunk in full, finite values only
-    full_chunks = [_chunk_rng(5, chunk).standard_normal(200) for chunk in range(3)]
-    for rule, alone, chunks, rejected_count in (
-            (SelectionRule.MAX_SIR, drawn, sir_parts, sir_rejected),
-            (SelectionRule.MAX_SIGNAL, drawn[:2], 2, 0)):
+    assert shared_draws == sorted(rows)
+    # what a serial loop keeps: each planned chunk's rows, finite values only
+    planned = [_chunk_rng(5, chunk).standard_normal(200)[:count]
+               for chunk, count in enumerate(rows)]
+    for rule in BOTH_RULES:
         single, single_draws = run((rule,))
-        assert single_draws == alone
+        assert single_draws == sorted(rows)
         parts, rejected = shared[rule]
-        assert len(parts) == chunks
-        assert rejected == single[rule][1] == rejected_count
-        assert np.array_equal(np.concatenate(parts), np.concatenate(single[rule][0]))
         first = 1 if rule is SelectionRule.MAX_SIR else 0
-        serial = np.concatenate([values[first:] for values in full_chunks])[:wanted]
+        assert len(parts) == len(rows)
+        assert rejected == single[rule][1] == first * len(rows)
+        assert np.array_equal(np.concatenate(parts), np.concatenate(single[rule][0]))
+        serial = np.concatenate([values[first:] for values in planned])
         assert np.array_equal(np.concatenate(parts), serial)
 
 
@@ -757,37 +755,36 @@ def test_last_chunk_draws_no_interferer_slice_past_its_rows(monkeypatch):
     assert estimates == _serial_estimates(cfg, BOTH_RULES, samples, seed=89)
 
 
-# shape 0.01 desired powers underflow to zero about 75 times a chunk
+# shape 0.01 desired powers underflow to zero about 100 times a chunk
 ZERO_POWER = SystemConfig(1, 1, SelectionRule.MAX_SIGNAL, Fading.nakagami(0.01))
 
 
 def _serial_full_chunk_values(cfg, samples, seed):
-    # one rule, each chunk drawn in full; non-finite values are skipped and
-    # replaced by later ones, and each counts as rejected up to the last
-    # value a chunk gives the estimate. Returns the kept values per chunk
-    # and the rejected count.
+    # one rule, each chunk drawn in full and cut to its planned rows; the
+    # non-finite values among the first `samples` stream positions are left
+    # out. Returns the kept values per chunk and the left-out count.
     stream = derive_seed(seed, "power")
-    chunks, kept, rejected = [], 0, 0
-    while kept < samples:
-        draw = draw_channels(cfg, _chunk_rng(stream, len(chunks)), CHUNK)
+    chunks, rejected = [], 0
+    for chunk in range(-(-samples // CHUNK)):
+        draw = draw_channels(cfg, _chunk_rng(stream, chunk), CHUNK)
         idx = select_antenna(draw.desired_power, draw.interference_power, cfg.rule)
         rows = np.arange(CHUNK)
         with np.errstate(divide="ignore", over="ignore"):
             values = np.sqrt(draw.interference_power[rows, idx]
                              / draw.desired_power[rows, idx])
-        finite = np.flatnonzero(np.isfinite(values))[:samples - kept]
-        rejected += (finite[-1] + 1 if finite.size == samples - kept else CHUNK) - finite.size
+        values = values[:samples - chunk * CHUNK]
+        finite = np.isfinite(values)
         chunks.append(values[finite])
-        kept += finite.size
-    return chunks, int(rejected)
+        rejected += values.size - int(finite.sum())
+    return chunks, rejected
 
 
 @pytest.mark.parametrize("samples, seed", [
     # the one chunk's first 3000 rows hold four zero powers
     (3000, 1),
-    # chunk 0 rejects 74 rows, and the last chunk's 3000 rows hold two zeros
+    # chunk 0 leaves out 95 rows, and the last chunk's 3000 rows two more
     (CHUNK + 3000, 2),
-    # chunks 0 and 1 reject 146 rows, so one row of chunk 2 is not enough
+    # chunks 0 and 1 leave out 198 rows, and chunk 2 draws its one row alone
     (2 * CHUNK + 1, 2),
 ])
 def test_rejections_in_a_partial_last_chunk_equal_serial_reference(samples, seed):
@@ -801,12 +798,46 @@ def test_rejections_in_a_partial_last_chunk_equal_serial_reference(samples, seed
     assert got_rejected == rejected
     assert len(parts) == len(chunks)
     assert all(np.array_equal(part, values) for part, values in zip(parts, chunks))
-    # and the estimate reduces them chunk by chunk
-    mean = math.fsum(float(values.sum()) for values in chunks) / samples
+    # and the estimate reduces them chunk by chunk, over the kept values
+    kept = samples - rejected
+    mean = math.fsum(float(values.sum()) for values in chunks) / kept
     square_total = math.fsum(float(np.square(values).sum()) for values in chunks)
-    variance = max(0.0, (square_total - samples * mean * mean) / (samples - 1))
+    variance = max(0.0, (square_total - kept * mean * mean) / (kept - 1))
     assert estimate_evm(ZERO_POWER, samples, seed=seed) == simulate.EvmEstimate(
-        mean, math.sqrt(variance / samples), samples, rejected)
+        mean, math.sqrt(variance / kept), kept, rejected)
+
+
+def test_rejections_add_no_chunk(monkeypatch):
+    # a left-out draw is not refilled: the plan's chunks and rows are all
+    # that an estimate draws
+    rows = []
+    original = simulate._power_values
+
+    def spy(cfg, rng, rules, count):
+        rows.append(count)
+        return original(cfg, rng, rules, count)
+
+    monkeypatch.setattr(simulate, "_power_values", spy)
+    estimate = estimate_evm(ZERO_POWER, CHUNK + 3000, seed=2)
+    assert estimate.rejected > 0
+    assert sorted(rows) == [3000, CHUNK]
+
+
+def test_symbol_level_leaves_out_zero_gain_blocks():
+    # a block whose selected gain underflows to zero has no finite EVM; it
+    # is left out and counted, and the estimate rests on the other blocks
+    slots, blocks = 4, 20000
+    estimate = estimate_evm_symbol_level(ZERO_POWER, slots, blocks, seed=3)
+    assert estimate.rejected > 0
+    # the one chunk's first blocks, as the estimator draws them
+    rng = _chunk_rng(derive_seed(3, "symbol", "qpsk", slots), 0)
+    (evms,) = simulate._symbol_evms(ZERO_POWER, simulate.CONSTELLATIONS["qpsk"], slots,
+                                    simulate._SYMBOL_CHUNK_SYMBOLS // slots, rng,
+                                    (ZERO_POWER.rule,), blocks)
+    kept = evms[np.isfinite(evms)]
+    assert estimate == simulate.EvmEstimate(
+        float(kept.mean()), float(kept.std(ddof=1)) / math.sqrt(kept.size), kept.size,
+        blocks - kept.size)
 
 
 # the kept values of shape 0.001 reach 1e160, and their squares overflow

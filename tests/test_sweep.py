@@ -488,6 +488,13 @@ def test_plot_script_structure():
         emit_plot_script(mixed)
 
 
+@pytest.mark.parametrize("name", ["it's.csv", "a\nb.csv", "a\rb.csv"])
+def test_plot_script_refuses_a_name_it_cannot_quote(name):
+    # gnuplot takes the name as a single-quoted string
+    with pytest.raises(ConfigError, match="cannot be quoted"):
+        emit_plot_script(preset("fig2", samples=2000), csv_name=name)
+
+
 def test_presets():
     fig1 = preset("fig1", samples=4000, seed=9)
     assert len(fig1) == 3 and all(s.axis == "L" for s in fig1)

@@ -160,8 +160,24 @@ def _write_text(path, text):
         handle.write(text)
 
 
+def _out_path(path):
+    """`path` as a Path; refused unless its parent is a directory and it is not one.
+
+    Checked before any draw, so an unwritable --out costs no run, and a
+    refusal creates and truncates nothing.
+    """
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise ConfigError(f"cannot write {path}: {path.parent} is not a directory")
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    return path
+
+
 def _cmd_verify(args):
     check_count(args.samples, "samples", 2)
+    if args.out is not None:
+        _out_path(args.out)
     print(f"grid samples per cell: {args.samples} "
           f"(std error scales as 1/sqrt(samples); pass line stays |z| <= 3)")
     report = run_verification(samples=args.samples, seed=args.seed)
@@ -180,8 +196,8 @@ def _cmd_sweep(args):
     specs = preset(args.preset, samples=args.samples, seed=args.seed)
     if args.out is not None:
         # the script needs only the specs, so a refused --out costs no draws
-        out = Path(args.out)
-        plot_path = out.with_suffix(".plot")
+        out = _out_path(args.out)
+        plot_path = _out_path(out.with_suffix(".plot"))
         if plot_path == out:
             raise ConfigError(f"--out {args.out} is where the plot script goes; "
                               f"give the CSV another suffix")

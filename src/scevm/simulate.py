@@ -23,12 +23,13 @@ pairwise `sum` in the last bit for eight or more interferers.
 
 Each estimator call of two or more chunks runs on the caller and one
 helper thread, which the call starts and joins before it returns or
-raises; `_collect` gives the plan they share. `estimate_evm_batch`, which
-`estimate_evm` calls with one request, plans many estimates at once (the
-`verify` grid, a sweep's points). Every result is bit for bit the one a
-one-thread run gives. A chunk is held in row slices of about `_SLICE`
-values wherever the stream allows; a fill split into row slices gives the
-values of one fill, so slicing changes no bit.
+raises: `_collect` hands out the plan's chunks one at a time under one
+lock, and adds their outcomes up in plan order after the join.
+`estimate_evm_batch`, which `estimate_evm` calls with one request, plans
+many estimates at once (the `verify` grid, a sweep's points). Every result
+is bit for bit the one a one-thread run gives. A chunk is held in row
+slices of about `_SLICE` values wherever the stream allows; a fill split
+into row slices gives the values of one fill, so slicing changes no bit.
 """
 
 import functools
@@ -216,64 +217,6 @@ def _check_rules(cfg, rules):
     return rules
 
 
-class _Plan:
-    """Jobs that the caller and one helper thread take in order; outcomes by index.
-
-    The caller holds job 0; a plan of two or more jobs starts a helper that
-    takes the next untaken job, and close() joins it.
-    """
-
-    def __init__(self, jobs):
-        self.jobs = jobs
-        self.outcomes = {}  # index: (value, error), until the caller reads it
-        self.taken = min(1, len(jobs))
-        self.closed = False
-        self.changed = threading.Condition()
-        self.helper = None
-        if len(jobs) > 1:
-            self.helper = threading.Thread(target=self.work, name="scevm-chunk-plan")
-            self.helper.start()
-
-    def take(self):
-        with self.changed:
-            if self.closed or self.taken == len(self.jobs):
-                return None
-            self.taken += 1
-            return self.taken - 1
-
-    def run(self, index):
-        try:
-            outcome = self.jobs[index](), None
-        except BaseException as error:  # raised on the caller by result()
-            outcome = None, error
-        with self.changed:
-            self.outcomes[index] = outcome
-            self.changed.notify_all()
-
-    def work(self):
-        """Run untaken jobs until none is left; the helper's share of the plan."""
-        while (index := self.take()) is not None:
-            self.run(index)
-
-    def result(self, index):
-        """The value of job `index`, running untaken jobs here until it is in."""
-        while index not in self.outcomes and (taken := self.take()) is not None:
-            self.run(taken)
-        with self.changed:
-            self.changed.wait_for(lambda: index in self.outcomes)
-            value, error = self.outcomes.pop(index)
-        if error is not None:
-            raise error
-        return value
-
-    def close(self):
-        """Take no further job, and join the helper once its running job is done."""
-        with self.changed:
-            self.closed = True
-        if self.helper is not None:
-            self.helper.join()
-
-
 @dataclass(frozen=True)
 class _Request:
     """One estimate of a plan: `wanted` values per rule, chunk by chunk.
@@ -311,6 +254,11 @@ def _planned_chunk(request, chunk, rows):
     return reduced
 
 
+def _over_budget(rejected, wanted):
+    """Whether a rule has left out more than 1% of the `wanted` values."""
+    return rejected > 0.01 * wanted
+
+
 def _collect(requests):
     """The chunk loop shared by both estimators, over a plan of estimates.
 
@@ -322,44 +270,76 @@ def _collect(requests):
     count. NumericalError (message `failure`) is raised once a rule has left
     out more than 1% of `wanted`.
 
-    The caller and the plan's helper thread each take the next chunk of the
-    plan that no thread has taken, so neither waits at the end of an
-    estimate for the other's chunk. The caller adds the jobs up in plan
-    order, so every result is the one-thread one bit for bit, and each
-    rule's is the one a single-rule run gives. An exception raised by a job
-    is raised here. The helper is joined before this returns or raises, so
-    no job runs on and no thread outlives the call; concurrent calls each
-    bring their own helper. The two threads overlap because numpy releases
-    the interpreter lock while it fills and combines arrays; a third would
-    hold a third chunk in memory, for a core that two-core machines do not
-    have.
+    The chunks of the plan are jobs in one list. The caller takes job 0 and
+    a helper thread job 1, and then each takes the next untaken job under one
+    lock, so neither waits at the end of an estimate for the other. A job
+    that raises, or whose own chunk leaves out more than 1% of `wanted`,
+    empties the list. The helper is joined before any outcome is read, so no
+    job runs on and no thread outlives the call; concurrent calls each bring
+    their own helper. The caller adds the outcomes up in plan order, so every
+    result is the one-thread one bit for bit, each rule's is the one a
+    single-rule run gives, and what is raised is the first stored exception
+    or 1% overrun in plan order. The two threads overlap because numpy
+    releases the interpreter lock while it fills and combines arrays; a
+    third would hold a third chunk in memory, for a core that two-core
+    machines do not have.
 
     Returns:
         per request, {rule: (list of reduce() results in chunk order,
         left-out count)}.
     """
-    planned = [request.planned() for request in requests]
-    plan = _Plan([functools.partial(_planned_chunk, request, chunk, rows)
-                  for request, chunks in zip(requests, planned) for chunk, rows in chunks])
-    collected = []
-    index = 0
+    jobs = [(request, chunk, rows) for request in requests for chunk, rows in request.planned()]
+    outcomes = [None] * len(jobs)  # per job, (value, error) once it has run
+    pending = iter(range(len(jobs)))
+    lock = threading.Lock()
+
+    def take(stop=False):
+        """The next untaken job, or None; `stop` empties the list first."""
+        with lock:
+            if stop:
+                for _ in pending:
+                    pass
+            return next(pending, None)
+
+    def work(index):
+        """Run job `index`, then each next untaken job until none is left."""
+        while index is not None:
+            request, chunk, rows = jobs[index]
+            try:
+                value, error = _planned_chunk(request, chunk, rows), None
+            except BaseException as caught:  # raised on the caller after the join
+                value, error = None, caught
+            outcomes[index] = value, error
+            index = take(stop=error is not None or any(
+                _over_budget(left_out, request.wanted) for _, left_out in value))
+
+    helper = None
     try:
-        if plan.jobs:
-            plan.run(0)
-        for request, chunks in zip(requests, planned):
-            parts = {rule: [] for rule in request.rules}
-            rejected = dict.fromkeys(request.rules, 0)
-            for _ in chunks:
-                for rule, (part, left_out) in zip(request.rules, plan.result(index)):
-                    parts[rule].append(part)
-                    rejected[rule] += left_out
-                    if rejected[rule] > 0.01 * request.wanted:
-                        raise NumericalError(request.failure.format(
-                            rejected=rejected[rule], wanted=request.wanted))
-                index += 1
-            collected.append({rule: (parts[rule], rejected[rule]) for rule in request.rules})
+        first = take()
+        if (second := take()) is not None:
+            helper = threading.Thread(target=work, args=(second,), name="scevm-chunk-plan")
+            helper.start()
+        work(first)
     finally:
-        plan.close()
+        take(stop=True)
+        if helper is not None:
+            helper.join()
+    collected = []
+    ran = iter(outcomes)
+    for request in requests:
+        parts = {rule: [] for rule in request.rules}
+        rejected = dict.fromkeys(request.rules, 0)
+        for _ in request.planned():
+            value, error = next(ran)
+            if error is not None:
+                raise error
+            for rule, (part, left_out) in zip(request.rules, value):
+                parts[rule].append(part)
+                rejected[rule] += left_out
+                if _over_budget(rejected[rule], request.wanted):
+                    raise NumericalError(request.failure.format(
+                        rejected=rejected[rule], wanted=request.wanted))
+        collected.append({rule: (parts[rule], rejected[rule]) for rule in request.rules})
     return collected
 
 

@@ -307,6 +307,57 @@ def test_sweep_refuses_an_out_before_drawing(tmp_path, capsys, monkeypatch, name
     assert list(tmp_path.iterdir()) == []
 
 
+def _unwritable_out(tmp_path, case):
+    # the --out of each case, and the files it must leave as they are
+    (tmp_path / "grid.csv").write_text("kept\n")
+    if case == "missing-directory":
+        return tmp_path / "missing" / "grid.csv"
+    if case == "directory":
+        (tmp_path / "out.csv").mkdir()
+        return tmp_path / "out.csv"
+    # the CSV could be written, but its plot script's path is a directory
+    (tmp_path / "grid.plot").mkdir()
+    return tmp_path / "grid.csv"
+
+
+def _refused_before_drawing(tmp_path, capsys, argv):
+    before = sorted((path.name, path.is_dir()) for path in tmp_path.iterdir())
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert sorted((path.name, path.is_dir()) for path in tmp_path.iterdir()) == before
+    assert (tmp_path / "grid.csv").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("case", ["missing-directory", "directory"])
+def test_verify_refuses_an_unwritable_out_before_drawing(tmp_path, capsys, monkeypatch,
+                                                         case):
+    import scevm.cli as cli
+
+    def no_run(samples, seed):
+        raise AssertionError("ran the verification for a refused --out")
+
+    monkeypatch.setattr(cli, "run_verification", no_run)
+    out = _unwritable_out(tmp_path, case)
+    _refused_before_drawing(tmp_path, capsys, ["verify", "--samples", "2000", "--out", str(out)])
+
+
+@pytest.mark.parametrize("case", ["missing-directory", "directory", "plot-directory"])
+def test_sweep_refuses_an_unwritable_out_before_drawing(tmp_path, capsys, monkeypatch,
+                                                        case):
+    import scevm.cli as cli
+
+    def no_draws(spec):
+        raise AssertionError("drew a sweep for a refused --out")
+
+    monkeypatch.setattr(cli, "run_sweep", no_draws)
+    out = _unwritable_out(tmp_path, case)
+    _refused_before_drawing(tmp_path, capsys, ["sweep", "--preset", "fig2", "--samples", "2000",
+                                               "--out", str(out)])
+
+
 def test_sweep_stdout_when_no_out(capsys):
     code = main(["sweep", "--preset", "fig2", "--samples", "2000"])
     out = capsys.readouterr().out

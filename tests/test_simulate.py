@@ -688,8 +688,15 @@ def test_chunks_drawn_ahead_equal_serial_reference(samples):
             == _serial_estimates(cfg, BOTH_RULES, samples, seed=89))
 
 
-@pytest.mark.parametrize("failing_chunk", (0, 1))
-def test_failed_draw_surfaces_and_next_estimate_works(monkeypatch, failing_chunk):
+# a job failing on either thread, with an Exception or a BaseException; the
+# RuntimeError cases keep their plain ids
+FAILED_CHUNKS = [pytest.param(chunk, error, id=f"{chunk}" if error is RuntimeError
+                              else f"{chunk}-{error.__name__}")
+                 for error in (RuntimeError, KeyboardInterrupt) for chunk in (0, 1)]
+
+
+@pytest.mark.parametrize("failing_chunk, error", FAILED_CHUNKS)
+def test_failed_draw_surfaces_and_next_estimate_works(monkeypatch, failing_chunk, error):
     # the caller takes chunk 0 and stays in it until the helper draws, so the
     # helper has taken chunk 1: a failure surfaces from either thread
     cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
@@ -707,15 +714,43 @@ def test_failed_draw_surfaces_and_next_estimate_works(monkeypatch, failing_chunk
             assert worker_drawing.wait(timeout=60)
         if chunk == failing_chunk:
             failed_on.append(threading.current_thread())
-            raise RuntimeError(f"draw failed in chunk {failing_chunk}")
+            raise error(f"draw failed in chunk {failing_chunk}")
         return original(cfg, rng, rules, rows)
 
     monkeypatch.setattr(simulate, "_power_values", failing)
-    with pytest.raises(RuntimeError, match=f"chunk {failing_chunk}"):
+    with pytest.raises(error, match=f"chunk {failing_chunk}"):
         estimate_evm(cfg, samples, seed=97)
     assert (failed_on[0] is threading.main_thread()) == (failing_chunk == 0)
     monkeypatch.undo()
     assert estimate_evm(cfg, samples, seed=97) == expected
+
+
+def test_chunks_finished_out_of_order_equal_serial_reference(monkeypatch):
+    # the helper holds chunk 1 until the caller has finished chunks 2-4, so
+    # the outcomes come in as 0, 2, 3, 4, 1
+    cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
+    samples = 4 * CHUNK + 5
+    original = simulate._power_values
+    helper_drawing, caller_done = threading.Event(), threading.Event()
+    finished = []
+
+    def held(cfg, rng, rules, rows):
+        chunk = rng.bit_generator.state["state"]["key"][1]
+        if chunk == 1:
+            helper_drawing.set()
+            assert caller_done.wait(timeout=60)
+        elif chunk == 0:
+            assert helper_drawing.wait(timeout=60)
+        values = original(cfg, rng, rules, rows)
+        finished.append(chunk)
+        if chunk == 4:
+            caller_done.set()
+        return values
+
+    monkeypatch.setattr(simulate, "_power_values", held)
+    estimates = estimate_evm_batch([(cfg, BOTH_RULES, samples, 89)])[0]
+    assert finished == [0, 2, 3, 4, 1]
+    assert estimates == _serial_estimates(cfg, BOTH_RULES, samples, seed=89)
 
 
 # plans of three estimates of one cell; every last chunk is partial, and at
@@ -872,6 +907,52 @@ def test_failure_mid_plan_cancels_the_rest_and_leaves_the_worker_idle(monkeypatc
     assert estimate_evm_batch([(cfg, BOTH_RULES, 2 * CHUNK, 5)])[0] == expected
 
 
+@pytest.mark.parametrize("failing_chunk", (0, 1))
+def test_failed_chunk_mid_plan_surfaces_and_stops_the_plan(monkeypatch, failing_chunk):
+    # a chunk of the second of three estimates fails: its error is raised,
+    # not one from a later job that never ran, and nothing is drawn after it
+    cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
+    requests = [(cfg, BOTH_RULES, 2 * CHUNK, 5), (cfg, BOTH_RULES, 2 * CHUNK, 6),
+                (cfg, BOTH_RULES, 40 * CHUNK, 7)]
+    failing_stream = derive_seed(6, "power")
+    drawn = []
+    original = simulate._power_values
+
+    def failing(cfg, rng, rules, rows):
+        drawn.append(rows)
+        if rng.bit_generator.state["state"]["key"].tolist() == [failing_stream,
+                                                                 failing_chunk]:
+            raise RuntimeError("second estimate failed")
+        return original(cfg, rng, rules, rows)
+
+    monkeypatch.setattr(simulate, "_power_values", failing)
+    with pytest.raises(RuntimeError, match="second estimate failed"):
+        simulate.estimate_evm_batch(requests)
+    assert not [thread for thread in threading.enumerate()
+                if thread.name == "scevm-chunk-plan" and thread.is_alive()]
+    after = len(drawn)
+    assert 3 <= after < 20
+    time.sleep(0.2)
+    assert len(drawn) == after
+
+
+# the kept values of shape 0.001 reach 1e160, and their squares overflow
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_degenerate_plan_fails_with_the_same_message_each_time():
+    # the count in the message is the plan-order one, whichever thread
+    # finishes which chunk first
+    cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
+    degenerate = SystemConfig(1, 1, SelectionRule.MAX_SIR, Fading.nakagami(0.001))
+    requests = [(cfg, BOTH_RULES, 2 * CHUNK, 5), (degenerate, BOTH_RULES, 2 * CHUNK, 6),
+                (cfg, BOTH_RULES, 40 * CHUNK, 7)]
+    messages = set()
+    for _ in range(5):
+        with pytest.raises(NumericalError, match="too degenerate") as raised:
+            simulate.estimate_evm_batch(requests)
+        messages.add(str(raised.value))
+    assert len(messages) == 1
+
+
 # 4096 slots make 256-block chunks
 SYMBOL_SLOTS = 4096
 SYMBOL_PER_CHUNK = simulate._SYMBOL_CHUNK_SYMBOLS // SYMBOL_SLOTS
@@ -930,8 +1011,9 @@ def test_symbol_partial_last_chunk_equals_serial_reference(cfg):
             == _serial_symbol_estimates(cfg, BOTH_RULES, SYMBOL_SLOTS, blocks, seed=93))
 
 
-@pytest.mark.parametrize("failing_chunk", (0, 1))
-def test_failed_symbol_chunk_surfaces_and_next_estimate_works(monkeypatch, failing_chunk):
+@pytest.mark.parametrize("failing_chunk, error", FAILED_CHUNKS)
+def test_failed_symbol_chunk_surfaces_and_next_estimate_works(monkeypatch, failing_chunk,
+                                                              error):
     # the caller takes chunk 0 and stays in it until the helper draws, so the
     # helper has taken chunk 1: a failure surfaces from either thread
     cfg = SystemConfig(2, 1, SelectionRule.MAX_SIR)
@@ -949,11 +1031,11 @@ def test_failed_symbol_chunk_surfaces_and_next_estimate_works(monkeypatch, faili
             assert worker_drawing.wait(timeout=60)
         if chunk == failing_chunk:
             failed_on.append(threading.current_thread())
-            raise RuntimeError(f"draw failed in chunk {failing_chunk}")
+            raise error(f"draw failed in chunk {failing_chunk}")
         return original(cfg, rng, count)
 
     monkeypatch.setattr(simulate, "_draw_gains", failing)
-    with pytest.raises(RuntimeError, match=f"chunk {failing_chunk}"):
+    with pytest.raises(error, match=f"chunk {failing_chunk}"):
         estimate_evm_symbol_level(cfg, SYMBOL_SLOTS, blocks, seed=97)
     assert (failed_on[0] is threading.main_thread()) == (failing_chunk == 0)
     monkeypatch.undo()

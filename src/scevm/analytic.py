@@ -21,14 +21,13 @@ analytic_formula, at the end, decide which function covers a configuration.
 import math
 
 from .model import (
-    ConfigError,
     DivergentMomentError,
     Fading,
     NumericalError,
     SelectionRule,
     SeriesRangeError,
-    SystemConfig,
     UnsupportedDomainError,
+    check_config,
     check_count,
 )
 from .quadrature import integrate_semi_infinite
@@ -42,14 +41,6 @@ _LN2 = math.log(2.0)
 # 150-digit mpmath for L <= 40 and M up to 4096, every value returned under
 # it is within 3.6e-10 relative, and refusals start where errors pass 1e-9.
 _MAX_CANCELLATION = 2e6
-
-
-def _validate_count(name, value):
-    # the count as an int, as SystemConfig takes it
-    try:
-        return check_count(value, name, 1)
-    except ConfigError as error:
-        raise UnsupportedDomainError(str(error)) from None
 
 
 def sir_cdf_single_antenna(x, interferers, fading):
@@ -68,7 +59,7 @@ def sir_cdf_single_antenna(x, interferers, fading):
     Returns:
         P(SIR <= x) in [0, 1].
     """
-    interferers = _validate_count("interferers", interferers)
+    interferers = check_count(interferers, "interferers", 1)
     if not isinstance(fading, Fading):
         raise UnsupportedDomainError(f"fading must be a Fading, got {fading!r}")
     if not (x >= 0.0):
@@ -116,8 +107,7 @@ def sir_cdf_best_antenna(x, cfg):
     Returns:
         P(selected SIR <= x) in [0, 1].
     """
-    if not isinstance(cfg, SystemConfig):
-        raise UnsupportedDomainError("cfg must be a SystemConfig")
+    check_config(cfg)
     if not (x >= 0.0):
         raise UnsupportedDomainError(f"x must be nonnegative, got {x}")
     if cfg.rule is not SelectionRule.MAX_SIR:
@@ -156,8 +146,7 @@ def evm_from_sir_cdf(cfg):
     NumericalError. A correlated pair under max-signal, rho = 1 included,
     is refused with UnsupportedDomainError.
     """
-    if not isinstance(cfg, SystemConfig):
-        raise UnsupportedDomainError("cfg must be a SystemConfig")
+    check_config(cfg)
     if cfg.rule is SelectionRule.MAX_SIGNAL and cfg.rho > 0.0:
         raise UnsupportedDomainError(
             "the defining integral covers max-signal selection with independent "
@@ -211,6 +200,7 @@ def evm_max_sir_rayleigh(antennas, interferers):
     log carries an absolute error of about lnGamma(LM) units of roundoff,
     so the sum is refused once largest term / |sum| passes
     2e6 / max(1, lnGamma(LM)): from L = 15, 14, 13, 12 at M = 1, 2, 4, 8.
+    At L = 1 the one term cannot cancel and is returned at any M.
 
     Args:
         antennas: number of antennas L >= 1.
@@ -222,8 +212,11 @@ def evm_max_sir_rayleigh(antennas, interferers):
     Raises:
         SeriesRangeError: if the sum cannot be trusted to 1e-9 relative.
     """
-    antennas = _validate_count("antennas", antennas)
-    interferers = _validate_count("interferers", interferers)
+    antennas = check_count(antennas, "antennas", 1)
+    interferers = check_count(interferers, "interferers", 1)
+    if antennas == 1:
+        # one term, which cannot cancel
+        return _SQRT_PI * gamma_ratio(interferers + 0.5, interferers)
     logs = [math.log(math.comb(antennas, k)) + log_gamma(k * interferers + 0.5)
             - log_gamma(k * interferers) for k in range(1, antennas + 1)]
     peak = max(logs)
@@ -242,8 +235,8 @@ def evm_max_signal_rayleigh(antennas, interferers):
     Raises:
         SeriesRangeError: if the sum cannot be trusted to 1e-9 relative.
     """
-    antennas = _validate_count("antennas", antennas)
-    interferers = _validate_count("interferers", interferers)
+    antennas = check_count(antennas, "antennas", 1)
+    interferers = check_count(interferers, "interferers", 1)
     middle = math.comb(antennas - 1, (antennas - 1) // 2)
     total = _alternating_sum(
         [math.comb(antennas - 1, n) / middle * math.sqrt(math.pi / (n + 1.0))
@@ -274,7 +267,7 @@ def evm_max_signal_correlated(rho, interferers):
     Returns:
         The EVM.
     """
-    interferers = _validate_count("interferers", interferers)
+    interferers = check_count(interferers, "interferers", 1)
     if not (0.0 <= rho < 1.0):
         raise UnsupportedDomainError(
             f"rho must lie in [0, 1), got {rho}; use evm_fully_correlated at rho = 1")
@@ -305,15 +298,14 @@ def evm_fully_correlated(interferers):
     Returns:
         The EVM.
     """
-    interferers = _validate_count("interferers", interferers)
+    interferers = check_count(interferers, "interferers", 1)
     return _SQRT_PI * gamma_ratio(interferers + 0.5, interferers)
 
 
 def _route(cfg):
     # which function covers cfg, tried in order; the evaluators look the
     # functions up when called, so patched module attributes are honoured
-    if not isinstance(cfg, SystemConfig):
-        raise UnsupportedDomainError("cfg must be a SystemConfig")
+    check_config(cfg)
     interferers, rho = cfg.interferers, cfg.rho
     if rho == 1.0:
         return "evm_fully_correlated", lambda: evm_fully_correlated(interferers)

@@ -17,12 +17,12 @@ from enum import Enum
 import numpy as np
 
 
-class ConfigError(ValueError):
-    """A receiver configuration violates a model constraint."""
-
-
 class UnsupportedDomainError(ValueError):
     """Arguments fall outside the implemented domain of a function."""
+
+
+class ConfigError(UnsupportedDomainError):
+    """A bad configuration, count or seed, refused alike by every module."""
 
 
 class NumericalError(ArithmeticError):
@@ -155,3 +155,9 @@ class SystemConfig:
             raise ConfigError("correlated antennas (rho > 0) are modelled for exactly 2 antennas")
         if self.rho > 0.0 and self.fading.kind != "rayleigh":
             raise ConfigError("correlated antennas (rho > 0) are modelled for Rayleigh desired fading only")
+
+
+def check_config(cfg):
+    """Refuse anything but a SystemConfig with a ConfigError."""
+    if not isinstance(cfg, SystemConfig):
+        raise ConfigError("cfg must be a SystemConfig")

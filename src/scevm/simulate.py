@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ConfigError, NumericalError, SelectionRule, SystemConfig, check_count,
+from .model import (ConfigError, NumericalError, SelectionRule, check_config, check_count,
                     check_seed)
 
 DEFAULT_SEED = 12345
@@ -203,13 +203,8 @@ def select_antenna(desired_power, interference_power, rule):
     return np.argmax(key, axis=1)
 
 
-def _check_config(cfg):
-    if not isinstance(cfg, SystemConfig):
-        raise ConfigError("cfg must be a SystemConfig")
-
-
 def _check_rules(cfg, rules):
-    _check_config(cfg)
+    check_config(cfg)
     rules = tuple(dict.fromkeys(rules))
     if not rules or not all(isinstance(rule, SelectionRule) for rule in rules):
         raise ConfigError(f"rules must be a non-empty sequence of SelectionRule, "
@@ -422,7 +417,7 @@ def estimate_evm_batch(requests):
 
 def estimate_evm(cfg, samples, seed=DEFAULT_SEED):
     """estimate_evm_batch for cfg.rule alone; returns its EvmEstimate."""
-    _check_config(cfg)
+    check_config(cfg)
     return estimate_evm_batch([(cfg, (cfg.rule,), samples, seed)])[0][cfg.rule]
 
 
@@ -544,6 +539,6 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
 def estimate_evm_symbol_level(cfg, slots, blocks, constellation="qpsk",
                               seed=DEFAULT_SEED):
     """estimate_evm_symbol_level_rules for cfg.rule alone; returns its EvmEstimate."""
-    _check_config(cfg)
+    check_config(cfg)
     return estimate_evm_symbol_level_rules(
         cfg, (cfg.rule,), slots, blocks, constellation, seed)[cfg.rule]

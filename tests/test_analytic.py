@@ -587,13 +587,33 @@ def test_rule_ordering_analytic():
 
 def test_rules_coincide_with_one_antenna():
     # nothing to select from, so both rules and the no-selection result
-    # are the same half-inverse-moment expression
-    for interferers in (1, 2, 4, 8):
+    # are the same half-inverse-moment expression; the max-SIR sum has one
+    # term, which cannot cancel, at any M
+    for interferers in (1, 2, 4, 8, 200_000, 10**6, 10**12):
         sir = analytic.evm_max_sir_rayleigh(1, interferers)
         assert sir == pytest.approx(
             analytic.evm_max_signal_rayleigh(1, interferers), rel=1e-13)
         assert sir == pytest.approx(
             analytic.evm_fully_correlated(interferers), rel=1e-13)
+        assert sir == analytic.evm_fully_correlated(interferers)
+
+
+# sqrt(pi) Gamma(M + 1/2) / Gamma(M) at M = 1e12 by 40-digit mpmath
+HUGE_M = 10**12
+HALF_MOMENT_AT_HUGE_M = 1772453.850905294470567
+
+
+def test_half_moment_routes_at_huge_interferer_counts():
+    # every route scaled by Gamma(M + 1/2) / Gamma(M); at rho = 0 the
+    # correlated max-signal pair is two independent antennas, whose
+    # E[max^-1/2] is (2 - sqrt 2) sqrt(pi)
+    want = HALF_MOMENT_AT_HUGE_M
+    assert analytic.evm_fully_correlated(HUGE_M) == pytest.approx(want, rel=1e-13)
+    assert analytic.evm_max_signal_rayleigh(1, HUGE_M) == pytest.approx(want, rel=1e-13)
+    assert analytic.evm_max_signal_correlated(0.0, HUGE_M) == pytest.approx(
+        (2.0 - math.sqrt(2.0)) * want, rel=1e-13)
+    cfg = SystemConfig(1, HUGE_M, SelectionRule.MAX_SIGNAL)
+    assert analytic.analytic_formula(cfg) == pytest.approx(want, rel=1e-9)
 
 
 def test_monotone_in_each_parameter():

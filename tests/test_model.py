@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from scevm import analytic, simulate
 from scevm.model import (
     ConfigError,
     DivergentMomentError,
@@ -25,6 +26,44 @@ def test_error_hierarchy():
     assert issubclass(NumericalError, ArithmeticError)
     assert issubclass(DivergentMomentError, NumericalError)
     assert issubclass(SeriesRangeError, NumericalError)
+
+
+_MAX_SIR = (SelectionRule.MAX_SIR,)
+_TAKES_A_CONFIG = {
+    "sir_cdf_best_antenna": lambda cfg: analytic.sir_cdf_best_antenna(0.5, cfg),
+    "evm_from_sir_cdf": analytic.evm_from_sir_cdf,
+    "analytic_formula": analytic.analytic_formula,
+    "formula_name": analytic.formula_name,
+    "estimate_evm": lambda cfg: simulate.estimate_evm(cfg, 100),
+    "estimate_evm_batch": lambda cfg: simulate.estimate_evm_batch([(cfg, _MAX_SIR, 100, 1)]),
+    "estimate_evm_symbol_level": lambda cfg: simulate.estimate_evm_symbol_level(cfg, 1, 2),
+    "estimate_evm_symbol_level_rules":
+        lambda cfg: simulate.estimate_evm_symbol_level_rules(cfg, _MAX_SIR, 1, 2),
+}
+_REFUSALS = {
+    **{f"{name}-{kind}": (lambda call=call, bad=bad: call(bad), "cfg must be a SystemConfig")
+       for name, call in _TAKES_A_CONFIG.items()
+       for kind, bad in (("str", "cfg"), ("dict", {"antennas": 2, "interferers": 1}))},
+    # the closed forms' counts, with SystemConfig's message
+    "SystemConfig": (lambda: SystemConfig(1, 0, SelectionRule.MAX_SIR),
+                     "interferers must be an integer >= 1, got 0"),
+    "evm_fully_correlated": (lambda: analytic.evm_fully_correlated(0),
+                             "interferers must be an integer >= 1, got 0"),
+    "evm_max_sir_rayleigh": (lambda: analytic.evm_max_sir_rayleigh(1, True),
+                             "interferers must be an integer >= 1, got True"),
+    "sir_cdf_single_antenna": (lambda: analytic.sir_cdf_single_antenna(1.0, 2.0, Fading.rayleigh()),
+                               "interferers must be an integer >= 1, got 2.0"),
+}
+
+
+@pytest.mark.parametrize("call,message", _REFUSALS.values(), ids=_REFUSALS)
+def test_one_refusal_per_argument_kind(call, message):
+    # a non-config and a bad count raise one class, with one message, in
+    # every module; it is also the closed forms' UnsupportedDomainError
+    with pytest.raises(ConfigError) as caught:
+        call()
+    assert isinstance(caught.value, UnsupportedDomainError)
+    assert str(caught.value) == message
 
 
 def test_fading_constructors():

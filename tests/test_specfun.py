@@ -94,6 +94,32 @@ def test_gamma_ratio_recurrence():
         assert gamma_ratio(a + 1.0, a) == pytest.approx(a, rel=1e-13)
 
 
+# Gamma(b + 1/2) / Gamma(b), the interference half-moment, by 40-digit
+# mpmath; from b = 1024 a log_gamma difference would lose ln Gamma(b) units
+# of roundoff (9e-4 relative at 1e12), which the Stirling difference avoids
+HALF_MOMENT_FROZEN = {
+    1023.0: 31.98046326360630521612,
+    1024.0: 31.99609398856407955885,
+    4096.0: 63.9980469048068697154,
+    1e5: 316.2273707323774666388,
+    1e7: 3162.277620639908826947,
+    1e9: 31622.77659773094624503,
+    1e12: 999999.999999875,
+    1e15: 31622776.60168378936714,
+}
+
+
+@pytest.mark.parametrize("b,want", sorted(HALF_MOMENT_FROZEN.items()))
+def test_gamma_ratio_half_moment_at_large_arguments(b, want):
+    # below 1024 the ratio keeps its log_gamma difference, bit for bit, and
+    # that difference's accuracy
+    if b < 1024.0:
+        assert gamma_ratio(b + 0.5, b) == math.exp(log_gamma(b + 0.5) - log_gamma(b))
+        assert gamma_ratio(b + 0.5, b) == pytest.approx(want, rel=1e-12, abs=0)
+    else:
+        assert gamma_ratio(b + 0.5, b) == pytest.approx(want, rel=2e-15, abs=0)
+
+
 @pytest.mark.parametrize("args,want", sorted(LOWER_GAMMA_FROZEN.items()))
 def test_regularized_gamma_p_frozen(args, want):
     assert regularized_gamma_p(*args) == pytest.approx(want, rel=1e-11, abs=1e-15)

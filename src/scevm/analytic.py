@@ -43,6 +43,23 @@ _LN2 = math.log(2.0)
 _MAX_CANCELLATION = 2e6
 
 
+def _times_half_moment(value, interferers):
+    # value * E[sqrt(I)], where E[sqrt(I)] = Gamma(M + 1/2) / Gamma(M) for M
+    # unit-mean Rayleigh interferers. From M = 2^52, M + 1/2 is not a double,
+    # and the ratio's sqrt(M) (1 - 1/(8M) + ...) is sqrt(M) to rounding; M is
+    # scaled by an even power of two first, so no int past the double range
+    # meets float()
+    if interferers < 2 ** 52:
+        return value * gamma_ratio(interferers + 0.5, interferers)
+    half_shift = max(0, interferers.bit_length() - 1000) // 2
+    try:
+        return math.ldexp(value * math.sqrt(interferers >> 2 * half_shift), half_shift)
+    except OverflowError:
+        raise NumericalError(
+            f"the EVM passes the double range at M >= 2^{interferers.bit_length() - 1} "
+            f"interferers") from None
+
+
 def sir_cdf_single_antenna(x, interferers, fading):
     """CDF of the SIR seen by one antenna.
 
@@ -158,10 +175,8 @@ def evm_from_sir_cdf(cfg):
         raise DivergentMomentError(
             f"EVM is infinite for antennas={antennas}, m={m}: the selected SIR "
             f"tail needs 2*antennas*m > 1")
-    scale = 1.0
     cdf = lambda y: sir_cdf_best_antenna(y, cfg)
     if cfg.rule is SelectionRule.MAX_SIGNAL:
-        scale = gamma_ratio(cfg.interferers + 0.5, cfg.interferers)
         cdf = lambda y: regularized_gamma_p(m, m * y) ** antennas
     p = max(1.0, 1.0 / (tail - 1.0))
 
@@ -175,7 +190,10 @@ def evm_from_sir_cdf(cfg):
             raise NumericalError(f"the x^-{tail:g} tail reaches past the double range")
         return p * t ** (p - 1.0) * cdf(y)
 
-    return scale * integrate_semi_infinite(integrand).value
+    value = integrate_semi_infinite(integrand).value
+    if cfg.rule is SelectionRule.MAX_SIR:
+        return value
+    return _times_half_moment(value, cfg.interferers)
 
 
 def _alternating_sum(magnitudes, antennas, interferers, scale=1.0):
@@ -216,7 +234,7 @@ def evm_max_sir_rayleigh(antennas, interferers):
     interferers = check_count(interferers, "interferers", 1)
     if antennas == 1:
         # one term, which cannot cancel
-        return _SQRT_PI * gamma_ratio(interferers + 0.5, interferers)
+        return _times_half_moment(_SQRT_PI, interferers)
     logs = [math.log(math.comb(antennas, k)) + log_gamma(k * interferers + 0.5)
             - log_gamma(k * interferers) for k in range(1, antennas + 1)]
     peak = max(logs)
@@ -241,7 +259,7 @@ def evm_max_signal_rayleigh(antennas, interferers):
     total = _alternating_sum(
         [math.comb(antennas - 1, n) / middle * math.sqrt(math.pi / (n + 1.0))
          for n in range(antennas)], antennas, interferers)
-    return antennas * total * middle * gamma_ratio(interferers + 0.5, interferers)
+    return _times_half_moment(antennas * total * middle, interferers)
 
 
 def evm_max_signal_correlated(rho, interferers):
@@ -282,7 +300,7 @@ def evm_max_signal_correlated(rho, interferers):
 
     j = integrate_semi_infinite(folded).value
     moment = 2.0 * _SQRT_PI * (1.0 - math.sqrt(2.0 / (1.0 + rho)) * j / math.pi)
-    return moment * gamma_ratio(interferers + 0.5, interferers)
+    return _times_half_moment(moment, interferers)
 
 
 def evm_fully_correlated(interferers):
@@ -299,7 +317,7 @@ def evm_fully_correlated(interferers):
         The EVM.
     """
     interferers = check_count(interferers, "interferers", 1)
-    return _SQRT_PI * gamma_ratio(interferers + 0.5, interferers)
+    return _times_half_moment(_SQRT_PI, interferers)
 
 
 def _route(cfg):

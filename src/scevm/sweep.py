@@ -22,6 +22,7 @@ from .model import (
     NumericalError,
     SelectionRule,
     SystemConfig,
+    check_config,
     check_count,
     check_seed,
 )
@@ -62,8 +63,7 @@ class SweepSpec:
         if any(not b > a for a, b in zip(values, values[1:])):  # NaN too
             raise ConfigError(f"values must be strictly increasing, got {values}")
         object.__setattr__(self, "values", values)
-        if not isinstance(self.base, SystemConfig):
-            raise ConfigError("base must be a SystemConfig")
+        check_config(self.base)
         object.__setattr__(self, "samples", check_count(self.samples, "samples", 2))
         object.__setattr__(self, "seed", check_seed(self.seed))
         rules = (self.base.rule,) if self.rules is None else tuple(self.rules)

@@ -616,6 +616,34 @@ def test_half_moment_routes_at_huge_interferer_counts():
     assert analytic.analytic_formula(cfg) == pytest.approx(want, rel=1e-9)
 
 
+# sqrt(pi) Gamma(M + 1/2) / Gamma(M) by mpmath, at 40 digits and, for 10^400, 460
+HALF_MOMENT_PAST_2_52 = {
+    2**52 - 1: 118947364.4266945354185101,
+    2**52: 118947364.4266945486243204,
+    2**52 + 1: 118947364.4266945618301307,
+    10**400: 1.772453850905516027298167e200,
+}
+
+
+@pytest.mark.parametrize("interferers,want", HALF_MOMENT_PAST_2_52.items(),
+                         ids=["2^52-1", "2^52", "2^52+1", "10^400"])
+def test_half_moment_from_two_to_the_52(interferers, want):
+    # from M = 2^52, M + 1/2 is not a double; the ratio is sqrt(M) there,
+    # and an M past the double range never meets float()
+    assert analytic.evm_fully_correlated(interferers) == pytest.approx(want, rel=4e-15, abs=0)
+    cfg = SystemConfig(1, interferers, SelectionRule.MAX_SIGNAL)
+    assert analytic.analytic_formula(cfg) == pytest.approx(want, rel=1e-9, abs=0)
+
+
+def test_half_moment_past_the_double_range():
+    # sqrt(pi M) passes the largest double, 1.8e308, between M = 2^2046 and 2^2047
+    assert analytic.evm_fully_correlated(2**2046) == pytest.approx(
+        math.sqrt(math.pi) * 2.0**1023, rel=4e-15, abs=0)
+    for interferers in (2**2047, 10**700):
+        with pytest.raises(NumericalError, match="passes the double range"):
+            analytic.evm_fully_correlated(interferers)
+
+
 def test_monotone_in_each_parameter():
     sir_in_l = [analytic.evm_max_sir_rayleigh(l, 2) for l in range(1, 7)]
     assert all(b < a for a, b in zip(sir_in_l, sir_in_l[1:]))

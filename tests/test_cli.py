@@ -135,6 +135,12 @@ def test_divergent_moment_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_past_the_double_range_exits_2(capsys):
+    # the fully correlated sqrt(pi M) passes the largest double from M = 2^2047
+    assert main(["eval", "--rho", "1", "--M", str(2**2047)]) == 2
+    assert capsys.readouterr().err.startswith("error: the EVM passes the double range")
+
+
 def test_divergent_moment_with_mc_exits_2_before_printing(capsys):
     # the diverged row draws nothing, so there is no value to print
     code = main(["eval", "--fading", "nakagami", "--md", "0.4", "--M", "2", "--L", "1",

@@ -17,7 +17,7 @@ from scevm.model import (
     SystemConfig,
     UnsupportedDomainError,
 )
-from scevm.sweep import cell_seed
+from scevm.sweep import SweepSpec, cell_seed
 
 
 def test_error_hierarchy():
@@ -39,6 +39,7 @@ _TAKES_A_CONFIG = {
     "estimate_evm_symbol_level": lambda cfg: simulate.estimate_evm_symbol_level(cfg, 1, 2),
     "estimate_evm_symbol_level_rules":
         lambda cfg: simulate.estimate_evm_symbol_level_rules(cfg, _MAX_SIR, 1, 2),
+    "SweepSpec": lambda cfg: SweepSpec("L", (1, 2), cfg),
 }
 _REFUSALS = {
     **{f"{name}-{kind}": (lambda call=call, bad=bad: call(bad), "cfg must be a SystemConfig")

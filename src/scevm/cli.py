@@ -224,7 +224,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,10 +2,12 @@
 
 Integrals over [0, inf) are compactified to the unit interval through
 x = t / (1 - t) and refined adaptively with the 15-point Kronrod rule and
-its embedded 7-point Gauss rule. The inverse square-root weight of a
-half-inverse moment is removed analytically by the substitution x = t^2
-rather than by clipping the integrand near zero: the caller integrates
-2 f(t^2). Every integral meets the tolerances and budget set below.
+its embedded 7-point Gauss rule. The integrand is never evaluated at 0
+or at infinity, so an integrable endpoint singularity is refined rather
+than clipped; a slowly decaying tail is the caller's to remove by a change
+of variable before the call. Every integral meets the tolerances set below
+within the evaluation budget, or raises AccuracyNotReachedError with its
+best estimate.
 """
 
 import heapq

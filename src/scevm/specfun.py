@@ -1,9 +1,11 @@
 """Scalar special functions backing the closed-form EVM expressions.
 
 Self-contained double-precision implementations: log-gamma by the Lanczos
-approximation and the regularized lower incomplete gamma function by the
-standard series / continued-fraction split. All functions are pure and
-safe for concurrent use.
+approximation, gamma ratios by a difference of Stirling series from
+min(a, b) = 1024, where a difference of two log-gamma values would lose
+about ln Gamma(b) units of roundoff, and the regularized lower incomplete
+gamma function by the standard series / continued-fraction split. All
+functions are pure and safe for concurrent use.
 """
 
 import math

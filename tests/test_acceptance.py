@@ -5,14 +5,12 @@ Run with -v for the per-criterion verdict lines; each test also prints a
 """
 
 import hashlib
-import math
 import time
 
 import pytest
 
 from scevm import analytic
-from scevm.model import Fading, SelectionRule, SystemConfig
-from scevm.quadrature import integrate_semi_infinite
+from scevm.model import SelectionRule, SystemConfig
 from scevm.simulate import estimate_evm_symbol_level_rules
 from scevm.sweep import emit_csv
 from scevm.verify import (
@@ -44,68 +42,32 @@ def grid():
     return checks, rows, elapsed
 
 
-def test_exact_anchor_values():
-    tol = 1e-10
+def _family(checks_of, label, seconds=None):
+    # one `scevm verify` check family as one criterion: every check passes,
+    # within the criterion's time bound when it has one
     start = time.perf_counter()
-    errors = [
-        abs(analytic.evm_max_sir_rayleigh(1, 1) - math.pi / 2.0),
-        abs(analytic.evm_max_sir_rayleigh(2, 1) - math.pi / 4.0),
-        abs(analytic.evm_max_signal_rayleigh(2, 1)
-            - math.pi * (1.0 - 1.0 / math.sqrt(2.0))),
-    ]
+    checks = checks_of()
     elapsed = time.perf_counter() - start
-    worst = max(errors)
-    _report(worst <= tol and elapsed < 1.0, "exact anchors",
-            f"3 anchor values, worst |err| {worst:.3g} <= {tol:g}, "
-            f"{elapsed:.3f}s < 1s")
+    failures = [c.name for c in checks if not c.passed]
+    ok = not failures and (seconds is None or elapsed < seconds)
+    _report(ok, label,
+            f"{len(checks)} checks, {elapsed:.3f}s"
+            + ("" if seconds is None else f" < {seconds:g}s")
+            + (f"; failures: {failures}" if failures else ""))
+
+
+def test_exact_anchor_values():
+    _family(anchor_checks, "exact anchors", 1.0)
 
 
 def test_defining_integral_agreement():
-    # the closed form against direct quadrature of the tail-probability
-    # integral it was derived from
-    tol = 1e-7
-    start = time.perf_counter()
-    worst = 0.0
-    fading = Fading.rayleigh()
-    for antennas in (1, 2, 3):
-        for interferers in (1, 2, 4):
-            closed = analytic.evm_max_sir_rayleigh(antennas, interferers)
-
-            def integrand(x, _l=antennas, _m=interferers):
-                if x == 0.0:
-                    return 1.0
-                return analytic.sir_cdf_single_antenna(x ** -2.0, _m, fading) ** _l
-
-            direct = integrate_semi_infinite(integrand).value
-            worst = max(worst, abs(direct - closed))
-    elapsed = time.perf_counter() - start
-    _report(worst <= tol and elapsed < 5.0, "defining-integral agreement",
-            f"9 configurations, worst |err| {worst:.3g} <= {tol:g}, "
-            f"{elapsed:.2f}s < 5s")
+    # the closed forms under both rules against direct quadrature of the
+    # tail-probability integral they were derived from
+    _family(quadrature_identity_checks, "defining-integral agreement", 5.0)
 
 
 def test_reduction_web():
-    start = time.perf_counter()
-    gaps = []
-    for antennas in (1, 2, 3, 4):
-        cfg = SystemConfig(antennas, 2, SelectionRule.MAX_SIR, Fading.nakagami(1.0))
-        gaps.append((abs(analytic.analytic_formula(cfg)
-                         - analytic.evm_max_sir_rayleigh(antennas, 2)), 1e-6))
-    for interferers in (1, 2, 4):
-        cfg = SystemConfig(2, interferers, SelectionRule.MAX_SIGNAL, Fading.nakagami(1.0))
-        gaps.append((abs(analytic.analytic_formula(cfg)
-                         - analytic.evm_max_signal_rayleigh(2, interferers)), 1e-8))
-        gaps.append((abs(analytic.evm_max_signal_correlated(0.0, interferers)
-                         - analytic.evm_max_signal_rayleigh(2, interferers)), 1e-6))
-    cfg = SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.0)
-    gaps.append((abs(analytic.analytic_formula(cfg)
-                     - analytic.evm_max_sir_rayleigh(2, 1)), 1e-6))
-    elapsed = time.perf_counter() - start
-    ok = all(gap <= tol for gap, tol in gaps) and elapsed < 10.0
-    worst = max(gap / tol for gap, tol in gaps)
-    _report(ok, "reduction web",
-            f"{len(gaps)} cross-family identities, worst |err|/tol {worst:.3g}, "
-            f"{elapsed:.2f}s < 10s")
+    _family(reduction_checks, "reduction web", 10.0)
 
 
 def test_monte_carlo_grid(grid):
@@ -147,15 +109,7 @@ def test_monotonicity():
 
 
 def test_no_selection_asymptote():
-    worst = 0.0
-    for interferers in (16, 64, 256):
-        value = analytic.evm_fully_correlated(interferers)
-        deviation = abs(value / math.sqrt(math.pi * interferers) - 1.0)
-        bound = 1.0 / (8.0 * interferers) + 1e-3
-        worst = max(worst, deviation / bound)
-    _report(worst <= 1.0, "many-interferer asymptote",
-            f"sqrt(pi M) approach at M in (16, 64, 256), "
-            f"worst deviation/bound {worst:.3g} <= 1")
+    _family(asymptotic_checks, "many-interferer asymptote")
 
 
 def test_symbol_level_full_size():

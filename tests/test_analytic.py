@@ -375,6 +375,30 @@ def test_alternating_sums_keep_their_digits_or_raise(args, want):
         closed_form(antennas + 1, interferers)
 
 
+# the max-SIR sum by 60-digit mpmath at M = 29348, where its log form first
+# refused at L = 2, and beyond; from M = 1024 each term is a half-moment
+MAX_SIR_PAST_THE_LOG_FORM = {
+    (2, 29348): (177.8686551498837508, 1e-13),
+    (2, 10**6): (1038.279140730858789, 1e-13),
+    (2, 10**12): (1038279.427179745103, 1e-13),
+    (15, 1024): (18.45373273651874596, 1e-9),
+    (15, 10**12): (577116.4432037378707, 1e-9),
+}
+
+
+@pytest.mark.parametrize("args,want", sorted(MAX_SIR_PAST_THE_LOG_FORM.items()))
+def test_max_sir_rayleigh_at_large_interferer_counts(args, want):
+    value, rel = want
+    assert analytic.evm_max_sir_rayleigh(*args) == pytest.approx(value, rel=rel, abs=0)
+
+
+@pytest.mark.parametrize("antennas,interferers", [(16, 10**6), (1100, 1024)])
+def test_max_sir_rayleigh_refuses_at_large_interferer_counts(antennas, interferers):
+    # at L = 1100 the middle binomial, C(1100, 550), is past the double range
+    with pytest.raises(SeriesRangeError, match="analytic_formula"):
+        analytic.evm_max_sir_rayleigh(antennas, interferers)
+
+
 @pytest.mark.parametrize("call", [
     lambda: analytic.evm_max_sir_rayleigh(0, 1),
     lambda: analytic.evm_max_sir_rayleigh(2, 0),

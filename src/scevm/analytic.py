@@ -42,6 +42,14 @@ _LN2 = math.log(2.0)
 # it is within 3.6e-10 relative, and refusals start where errors pass 1e-9.
 _MAX_CANCELLATION = 2e6
 
+# from this L both alternating sums are refused before any term is formed,
+# sparing the O(L^2) big-integer binomials. EVM falls with L, so |sum| is at
+# most the L = 1 value, and the middle term is at least C(L, L // 2)
+# (max-SIR) or C(L - 1, (L - 1) // 2) (max-signal) times that value. So from
+# L = 25, largest / |sum| >= C(24, 12) = 2,704,156 > _MAX_CANCELLATION, and
+# every refusal scale is >= 1: the sum test would refuse at every M
+_SUM_REFUSED_FROM = 25
+
 
 def _times_half_moment(value, interferers):
     # value * E[sqrt(I)], where E[sqrt(I)] = Gamma(M + 1/2) / Gamma(M) for M
@@ -202,11 +210,15 @@ def _alternating_sum(magnitudes, antennas, interferers, scale=1.0):
     # roundoff, which the cancellation largest / |sum| multiplies
     total = math.fsum(m if k % 2 == 0 else -m for k, m in enumerate(magnitudes))
     if not abs(total) * _MAX_CANCELLATION >= max(magnitudes) * scale:
-        raise SeriesRangeError(
-            f"alternating antenna sum cancels too far to keep 1e-9 relative accuracy "
-            f"for antennas={antennas}, interferers={interferers}; analytic_formula "
-            f"covers it by the defining integral")
+        raise _cancels_too_far(antennas, interferers)
     return total
+
+
+def _cancels_too_far(antennas, interferers):
+    return SeriesRangeError(
+        f"alternating antenna sum cancels too far to keep 1e-9 relative accuracy "
+        f"for antennas={antennas}, interferers={interferers}; analytic_formula "
+        f"covers it by the defining integral")
 
 
 def evm_max_sir_rayleigh(antennas, interferers):
@@ -224,7 +236,9 @@ def evm_max_sir_rayleigh(antennas, interferers):
     few units of roundoff, and the sum is refused once largest term / |sum|
     passes 2e6 / 18: every L up to 15 is returned, to within 1.5e-10 of
     60-digit mpmath, and L = 16 is refused. At L = 1 either form returns
-    evm_fully_correlated(M) bit for bit.
+    evm_fully_correlated(M) bit for bit. From L = 25 the sum is refused
+    before any term is formed: there the middle term alone is at least
+    C(L, L // 2) > 2e6 times the sum at every M.
 
     Args:
         antennas: number of antennas L >= 1.
@@ -238,11 +252,13 @@ def evm_max_sir_rayleigh(antennas, interferers):
     """
     antennas = check_count(antennas, "antennas", 1)
     interferers = check_count(interferers, "interferers", 1)
+    if antennas >= _SUM_REFUSED_FROM:
+        raise _cancels_too_far(antennas, interferers)
     if interferers >= 1024:
         # gamma_ratio's Stirling range: each term is a half-moment good to a
         # few units of roundoff. Its binomial is taken relative to the middle
         # one, which multiplies in only once the sum has passed the refusal
-        # test, so a huge L refuses rather than overflows
+        # test, so the binomials scale no term up toward overflow
         middle = math.comb(antennas, antennas // 2)
         total = _alternating_sum(
             [_times_half_moment(_SQRT_PI * (math.comb(antennas, k) / middle), k * interferers)
@@ -261,13 +277,17 @@ def evm_max_signal_rayleigh(antennas, interferers):
 
     Closed form: L * sum_{n=0}^{L-1} C(L-1, n) (-1)^n sqrt(pi / (n+1))
     times Gamma(M + 1/2) / Gamma(M). The sum is refused once largest
-    term / |sum| passes 2e6, from L = 21.
+    term / |sum| passes 2e6, from L = 21. From L = 25, where the middle
+    term alone is at least C(L - 1, (L - 1) // 2) > 2e6 times the sum, it
+    is refused before any term is formed.
 
     Raises:
         SeriesRangeError: if the sum cannot be trusted to 1e-9 relative.
     """
     antennas = check_count(antennas, "antennas", 1)
     interferers = check_count(interferers, "interferers", 1)
+    if antennas >= _SUM_REFUSED_FROM:
+        raise _cancels_too_far(antennas, interferers)
     middle = math.comb(antennas - 1, (antennas - 1) // 2)
     total = _alternating_sum(
         [math.comb(antennas - 1, n) / middle * math.sqrt(math.pi / (n + 1.0))

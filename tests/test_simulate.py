@@ -109,26 +109,6 @@ def test_estimate_is_deterministic():
     assert first != estimate_evm(RAYLEIGH_21_SIR, 100000, seed=4)
 
 
-def test_estimate_matches_manual_chunked_reconstruction():
-    # pins the chunk layout: full chunks generated in order, tail sliced
-    samples = CHUNK + 1000
-    cfg = RAYLEIGH_21_SIR
-    stream = derive_seed(9, "power")
-    values = []
-    for chunk in range(2):
-        draw = draw_channels(cfg, _chunk_rng(stream, chunk), CHUNK)
-        take = min(CHUNK, samples - chunk * CHUNK)
-        desired = draw.desired_power[:take]
-        interference = draw.interference_power[:take]
-        idx = select_antenna(desired, interference, cfg.rule)
-        rows = np.arange(take)
-        values.append(np.sqrt(interference[rows, idx] / desired[rows, idx]))
-    flat = np.concatenate(values)
-    estimate = estimate_evm(cfg, samples, seed=9)
-    assert estimate.samples == samples
-    assert estimate.mean == pytest.approx(float(flat.mean()), rel=1e-12)
-
-
 def test_draw_channels_unit_means():
     cfg = SystemConfig(2, 3, SelectionRule.MAX_SIR)
     draw = draw_channels(cfg, _chunk_rng(11, 0), 200000)
@@ -494,6 +474,7 @@ def test_verification_equals_per_rule_reference(monkeypatch):
 VERIFICATION_REPORT_SHA256 = "f46ad1774ce0f5a0942553b5ffc30704b1a385370da69538a4680e7cd4fff36b"
 
 
+@pytest.mark.threads
 def test_verification_report_is_frozen():
     report = verify.run_verification(samples=2000, seed=3)
     text = "".join(f"{c.name}|{c.passed}|{c.detail}\n" for c in report.checks)
@@ -508,6 +489,7 @@ VERIFICATION_RERUN_REPORT_SHA256 = (
     "83482cbf665c1662df7a3dea8333ca76f27a369f45903c06dae038e715d44e61")
 
 
+@pytest.mark.threads
 def test_verification_report_with_grid_reruns_is_frozen():
     report = verify.run_verification(samples=2000, seed=1)
     text = "".join(f"{c.name}|{c.passed}|{c.detail}\n" for c in report.checks)
@@ -658,26 +640,38 @@ def test_flat_gather_equals_two_dimensional_indexing(antennas):
             np.testing.assert_array_equal(got, expected)
 
 
-def _serial_estimates(cfg, rules, samples, seed):
-    # one rule and one chunk at a time, all on the calling thread
+def _serial_full_chunk_values(cfg, rule, samples, seed):
+    # one rule, each chunk drawn in full and cut to its planned rows; the
+    # non-finite values among the first `samples` stream positions are left
+    # out. Returns the kept values per chunk and the left-out count.
     stream = derive_seed(seed, "power")
-    estimates = {}
-    for rule in rules:
-        sums, squares = [], []
-        for chunk in range(-(-samples // CHUNK)):
-            draw = draw_channels(cfg, _chunk_rng(stream, chunk), CHUNK)
-            idx = select_antenna(draw.desired_power, draw.interference_power, rule)
-            rows = np.arange(CHUNK)
+    chunks, rejected = [], 0
+    for chunk in range(-(-samples // CHUNK)):
+        draw = draw_channels(cfg, _chunk_rng(stream, chunk), CHUNK)
+        idx = select_antenna(draw.desired_power, draw.interference_power, rule)
+        rows = np.arange(CHUNK)
+        with np.errstate(divide="ignore", over="ignore"):
             values = np.sqrt(draw.interference_power[rows, idx]
                              / draw.desired_power[rows, idx])
-            values = values[:samples - chunk * CHUNK]
-            assert np.all(np.isfinite(values))
-            sums.append(float(values.sum()))
-            squares.append(float(np.square(values).sum()))
-        mean = math.fsum(sums) / samples
-        variance = max(0.0, (math.fsum(squares) - samples * mean * mean) / (samples - 1))
-        estimates[rule] = simulate.EvmEstimate(mean, math.sqrt(variance / samples),
-                                               samples, 0)
+        values = values[:samples - chunk * CHUNK]
+        finite = np.isfinite(values)
+        chunks.append(values[finite])
+        rejected += values.size - int(finite.sum())
+    return chunks, rejected
+
+
+def _serial_estimates(cfg, rules, samples, seed):
+    # one rule and one chunk at a time, all on the calling thread, reduced
+    # chunk by chunk over the kept values
+    estimates = {}
+    for rule in rules:
+        chunks, rejected = _serial_full_chunk_values(cfg, rule, samples, seed)
+        kept = samples - rejected
+        mean = math.fsum(float(values.sum()) for values in chunks) / kept
+        square_total = math.fsum(float(np.square(values).sum()) for values in chunks)
+        variance = max(0.0, (square_total - kept * mean * mean) / (kept - 1))
+        estimates[rule] = simulate.EvmEstimate(mean, math.sqrt(variance / kept), kept,
+                                               rejected)
     return estimates
 
 
@@ -695,6 +689,7 @@ FAILED_CHUNKS = [pytest.param(chunk, error, id=f"{chunk}" if error is RuntimeErr
                  for error in (RuntimeError, KeyboardInterrupt) for chunk in (0, 1)]
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("failing_chunk, error", FAILED_CHUNKS)
 def test_failed_draw_surfaces_and_next_estimate_works(monkeypatch, failing_chunk, error):
     # the caller takes chunk 0 and stays in it until the helper draws, so the
@@ -725,6 +720,7 @@ def test_failed_draw_surfaces_and_next_estimate_works(monkeypatch, failing_chunk
     assert estimate_evm(cfg, samples, seed=97) == expected
 
 
+@pytest.mark.threads
 def test_chunks_finished_out_of_order_equal_serial_reference(monkeypatch):
     # the helper holds chunk 1 until the caller has finished chunks 2-4, so
     # the outcomes come in as 0, 2, 3, 4, 1
@@ -794,26 +790,6 @@ def test_last_chunk_draws_no_interferer_slice_past_its_rows(monkeypatch):
 ZERO_POWER = SystemConfig(1, 1, SelectionRule.MAX_SIGNAL, Fading.nakagami(0.01))
 
 
-def _serial_full_chunk_values(cfg, samples, seed):
-    # one rule, each chunk drawn in full and cut to its planned rows; the
-    # non-finite values among the first `samples` stream positions are left
-    # out. Returns the kept values per chunk and the left-out count.
-    stream = derive_seed(seed, "power")
-    chunks, rejected = [], 0
-    for chunk in range(-(-samples // CHUNK)):
-        draw = draw_channels(cfg, _chunk_rng(stream, chunk), CHUNK)
-        idx = select_antenna(draw.desired_power, draw.interference_power, cfg.rule)
-        rows = np.arange(CHUNK)
-        with np.errstate(divide="ignore", over="ignore"):
-            values = np.sqrt(draw.interference_power[rows, idx]
-                             / draw.desired_power[rows, idx])
-        values = values[:samples - chunk * CHUNK]
-        finite = np.isfinite(values)
-        chunks.append(values[finite])
-        rejected += values.size - int(finite.sum())
-    return chunks, rejected
-
-
 @pytest.mark.parametrize("samples, seed", [
     # the one chunk's first 3000 rows hold four zero powers
     (3000, 1),
@@ -823,7 +799,7 @@ def _serial_full_chunk_values(cfg, samples, seed):
     (2 * CHUNK + 1, 2),
 ])
 def test_rejections_in_a_partial_last_chunk_equal_serial_reference(samples, seed):
-    chunks, rejected = _serial_full_chunk_values(ZERO_POWER, samples, seed)
+    chunks, rejected = _serial_full_chunk_values(ZERO_POWER, ZERO_POWER.rule, samples, seed)
     assert rejected > 0
     # every kept value, as the shape-0.01 means rest on a few huge values
     request = simulate._Request(derive_seed(seed, "power"), (ZERO_POWER.rule,), samples,
@@ -834,12 +810,8 @@ def test_rejections_in_a_partial_last_chunk_equal_serial_reference(samples, seed
     assert len(parts) == len(chunks)
     assert all(np.array_equal(part, values) for part, values in zip(parts, chunks))
     # and the estimate reduces them chunk by chunk, over the kept values
-    kept = samples - rejected
-    mean = math.fsum(float(values.sum()) for values in chunks) / kept
-    square_total = math.fsum(float(np.square(values).sum()) for values in chunks)
-    variance = max(0.0, (square_total - kept * mean * mean) / (kept - 1))
-    assert estimate_evm(ZERO_POWER, samples, seed=seed) == simulate.EvmEstimate(
-        mean, math.sqrt(variance / kept), kept, rejected)
+    assert estimate_evm(ZERO_POWER, samples, seed=seed) == _serial_estimates(
+        ZERO_POWER, (ZERO_POWER.rule,), samples, seed)[ZERO_POWER.rule]
 
 
 def test_rejections_add_no_chunk(monkeypatch):
@@ -876,6 +848,7 @@ def test_symbol_level_leaves_out_zero_gain_blocks():
 
 
 # the kept values of shape 0.001 reach 1e160, and their squares overflow
+@pytest.mark.threads
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_failure_mid_plan_cancels_the_rest_and_leaves_the_worker_idle(monkeypatch):
     cfg = SystemConfig(2, 2, SelectionRule.MAX_SIR)
@@ -907,6 +880,7 @@ def test_failure_mid_plan_cancels_the_rest_and_leaves_the_worker_idle(monkeypatc
     assert estimate_evm_batch([(cfg, BOTH_RULES, 2 * CHUNK, 5)])[0] == expected
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("failing_chunk", (0, 1))
 def test_failed_chunk_mid_plan_surfaces_and_stops_the_plan(monkeypatch, failing_chunk):
     # a chunk of the second of three estimates fails: its error is raised,
@@ -937,6 +911,7 @@ def test_failed_chunk_mid_plan_surfaces_and_stops_the_plan(monkeypatch, failing_
 
 
 # the kept values of shape 0.001 reach 1e160, and their squares overflow
+@pytest.mark.threads
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_degenerate_plan_fails_with_the_same_message_each_time():
     # the count in the message is the plan-order one, whichever thread
@@ -1011,6 +986,7 @@ def test_symbol_partial_last_chunk_equals_serial_reference(cfg):
             == _serial_symbol_estimates(cfg, BOTH_RULES, SYMBOL_SLOTS, blocks, seed=93))
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("failing_chunk, error", FAILED_CHUNKS)
 def test_failed_symbol_chunk_surfaces_and_next_estimate_works(monkeypatch, failing_chunk,
                                                               error):
@@ -1130,6 +1106,7 @@ def _fresh_python(code):
     return done.stdout.split()
 
 
+@pytest.mark.threads
 def test_import_and_one_chunk_estimate_start_no_thread():
     loaded, threads_after_one_chunk, threads_after_two, threads_after_more = _fresh_python(
         "import sys, threading\n"
@@ -1148,6 +1125,7 @@ def test_import_and_one_chunk_estimate_start_no_thread():
     assert threads_after_two == threads_after_more == "1"
 
 
+@pytest.mark.threads
 def test_forked_child_estimates_as_its_parent():
     # the parent has run plans with a helper; the child runs its own plan
     # and, like the parent, is left with its main thread alone
@@ -1178,6 +1156,7 @@ def test_forked_child_estimates_as_its_parent():
     assert exited == "1"
 
 
+@pytest.mark.threads
 def test_callers_on_several_threads_get_their_own_estimates():
     # four callers each bring their own helper; a short switch interval makes
     # their chunks interleave

@@ -235,10 +235,11 @@ def evm_max_sir_rayleigh(antennas, interferers):
     term is C(L, k) / C(L, L // 2) times the half-moment at kM, good to a
     few units of roundoff, and the sum is refused once largest term / |sum|
     passes 2e6 / 18: every L up to 15 is returned, to within 1.5e-10 of
-    60-digit mpmath, and L = 16 is refused. At L = 1 either form returns
-    evm_fully_correlated(M) bit for bit. From L = 25 the sum is refused
-    before any term is formed: there the middle term alone is at least
-    C(L, L // 2) > 2e6 times the sum at every M.
+    60-digit mpmath, and L = 16 is refused. From M = 2^52 the sum is the
+    max-signal sum, which returns every L up to 20 and M up to 2^2046. At
+    L = 1 each form returns evm_fully_correlated(M) bit for bit. From L = 25
+    the sum is refused before any term is formed: there the middle term
+    alone is at least C(L, L // 2) > 2e6 times the sum at every M.
 
     Args:
         antennas: number of antennas L >= 1.
@@ -254,6 +255,11 @@ def evm_max_sir_rayleigh(antennas, interferers):
     interferers = check_count(interferers, "interferers", 1)
     if antennas >= _SUM_REFUSED_FROM:
         raise _cancels_too_far(antennas, interferers)
+    if interferers >= 2 ** 52:
+        # Gamma(kM + 1/2) / Gamma(kM) is sqrt(kM) to rounding here, and
+        # C(L, k) sqrt(k) = L C(L - 1, k - 1) / sqrt(k), so sqrt(pi) sum_k
+        # (-1)^(k-1) C(L, k) sqrt(kM) is the max-signal sum term for term
+        return evm_max_signal_rayleigh(antennas, interferers)
     if interferers >= 1024:
         # gamma_ratio's Stirling range: each term is a half-moment good to a
         # few units of roundoff. Its binomial is taken relative to the middle

@@ -20,12 +20,13 @@ from .analytic import analytic_formula, formula_name
 from .model import (ConfigError, Fading, NumericalError, SelectionRule, SystemConfig,
                     check_count, check_number, check_seed)
 from .simulate import DEFAULT_SEED
-from .sweep import STATUS_DIVERGED, emit_csv, emit_plot_script, evaluate_cells, preset, run_sweep
-from .verify import run_verification
+from .sweep import (DEFAULT_POINT_SAMPLES, STATUS_DIVERGED, emit_csv, emit_plot_script,
+                    evaluate_cells, preset, run_sweep)
+from .verify import DEFAULT_GRID_SAMPLES, run_verification
 
 _EVAL_DEFAULTS = {
     "L": 2, "M": 1, "rule": "max-sir", "fading": "rayleigh",
-    "md": 1.0, "rho": 0.0, "samples": 200000, "seed": DEFAULT_SEED,
+    "md": 1.0, "rho": 0.0, "samples": DEFAULT_POINT_SAMPLES, "seed": DEFAULT_SEED,
 }
 
 
@@ -69,7 +70,7 @@ def build_parser():
     cmd.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
 
     cmd = commands.add_parser("verify", help="run every verification layer")
-    cmd.add_argument("--samples", type=int, default=1000000,
+    cmd.add_argument("--samples", type=int, default=DEFAULT_GRID_SAMPLES,
                      help="Monte Carlo draws per grid point")
     cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
     cmd.add_argument("--out", default=None,
@@ -77,7 +78,7 @@ def build_parser():
 
     cmd = commands.add_parser("sweep", help="run a built-in sweep family")
     cmd.add_argument("--preset", required=True, choices=("fig1", "fig2", "fig3"))
-    cmd.add_argument("--samples", type=int, default=200000,
+    cmd.add_argument("--samples", type=int, default=DEFAULT_POINT_SAMPLES,
                      help="Monte Carlo draws per sweep point")
     cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
     cmd.add_argument("--out", default=None,
@@ -133,7 +134,7 @@ def _cmd_eval(args):
     name = formula_name(cfg)
     if args.mc:
         # a sweep point's row, on the raw seed: estimate_evm(cfg, samples, seed)
-        row = evaluate_cells([(cfg, (cfg.rule,), seed)], settings["samples"])[0][cfg.rule]
+        row = evaluate_cells([(cfg, (cfg.rule,), settings["samples"], seed)])[0][cfg.rule]
     # raises for a diverged row, and without --mc for a failing route too
     exact = row.analytic if args.mc and row.status != STATUS_DIVERGED else analytic_formula(cfg)
     print(f"L={cfg.antennas} M={cfg.interferers} rule={cfg.rule.value} "

@@ -87,6 +87,15 @@ class SelectionRule(str, Enum):
     MAX_SIGNAL = "max_signal"
 
 
+def check_rules(rules):
+    """The rules as a tuple of distinct SelectionRules, at least one, or a ConfigError."""
+    checked = tuple(rules) if hasattr(rules, "__iter__") else ()
+    if (not checked or not all(isinstance(rule, SelectionRule) for rule in checked)
+            or len(set(checked)) != len(checked)):
+        raise ConfigError(f"rules must be distinct SelectionRules, at least one, got {rules!r}")
+    return checked
+
+
 @dataclass(frozen=True)
 class Fading:
     """Desired-channel fading law.

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ConfigError, NumericalError, SelectionRule, check_config, check_count,
-                    check_seed)
+                    check_rules, check_seed)
 
 DEFAULT_SEED = 12345
 
@@ -203,13 +203,15 @@ def select_antenna(desired_power, interference_power, rule):
     return np.argmax(key, axis=1)
 
 
-def _check_rules(cfg, rules):
+def check_request(request):
+    """(cfg, rules, samples, seed) checked in that order: rules a tuple, counts ints."""
+    try:
+        cfg, rules, samples, seed = request
+    except (TypeError, ValueError):
+        raise ConfigError(f"each request must be a (cfg, rules, samples, seed) "
+                          f"tuple, got {request!r}") from None
     check_config(cfg)
-    rules = tuple(dict.fromkeys(rules))
-    if not rules or not all(isinstance(rule, SelectionRule) for rule in rules):
-        raise ConfigError(f"rules must be a non-empty sequence of SelectionRule, "
-                          f"got {rules!r}")
-    return rules
+    return cfg, check_rules(rules), check_count(samples, "samples", 2), check_seed(seed)
 
 
 @dataclass(frozen=True)
@@ -371,8 +373,8 @@ def estimate_evm_batch(requests):
     """Estimate the EVM from channel-power draws, per (cfg, rules, samples, seed) request.
 
     Each chunk of a request's channel powers is drawn once and shared by its
-    rules (duplicates merged), so they are compared on identical channels;
-    cfg.rule is ignored. samples is the fading blocks per rule, an integer
+    distinct rules, so they are compared on identical channels; cfg.rule is
+    ignored. samples is the fading blocks per rule, an integer
     >= 2, and the same (cfg, samples, seed) gives identical output. A block
     whose selected desired power is zero is left out and counted, so an
     estimate's samples fall short of the request by its rejected count. The
@@ -388,13 +390,7 @@ def estimate_evm_batch(requests):
     """
     plan = []
     for request in requests:
-        try:
-            cfg, rules, samples, seed = request
-        except (TypeError, ValueError):
-            raise ConfigError(f"each request must be a (cfg, rules, samples, seed) "
-                              f"tuple, got {request!r}") from None
-        rules = _check_rules(cfg, rules)
-        samples = check_count(samples, "samples", 2)
+        cfg, rules, samples, seed = check_request(request)
         plan.append(_Request(
             derive_seed(seed, "power"), rules, samples, CHUNK,
             functools.partial(_power_values, cfg), _sums,
@@ -503,7 +499,7 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
 
     Args:
         cfg: receiver configuration.
-        rules: SelectionRules to estimate; duplicates are merged.
+        rules: distinct SelectionRules to estimate.
         slots: data symbols per fading block, an integer >= 1.
         blocks: independent fading blocks per rule, an integer >= 2.
         constellation: "qpsk" or "16qam" (unit average energy each).
@@ -512,7 +508,8 @@ def estimate_evm_symbol_level_rules(cfg, rules, slots, blocks, constellation="qp
     Returns:
         {rule: EvmEstimate over the blocks kept}, in the order given.
     """
-    rules = _check_rules(cfg, rules)
+    check_config(cfg)
+    rules = check_rules(rules)
     slots = check_count(slots, "slots", 1)
     blocks = check_count(blocks, "blocks", 2)
     try:

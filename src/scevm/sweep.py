@@ -4,8 +4,8 @@ A sweep varies one axis of a base configuration under one or more
 selection rules. At each point it evaluates whichever closed form covers
 each rule, and draws the channels once for all of the point's rules,
 with a seed derived from everything except the rule, so the rules are
-compared on identical channels. evaluate_cells does this for each cell, a
-configuration with its rules and seed: sweep points, verify's grid cells and
+compared on identical channels. evaluate_cells does this for estimate_evm_batch's
+(cfg, rules, samples, seed) requests: sweep points, verify's grid cells and
 re-runs, and eval --mc. One row per point and rule, z scored by cell_row.
 Rows serialize to CSV, fields in CSV_HEADER order, and to a gnuplot script
 whose columns are looked up in that header.
@@ -23,10 +23,11 @@ from .model import (
     SelectionRule,
     SystemConfig,
     check_config,
-    check_count,
-    check_seed,
 )
-from .simulate import DEFAULT_SEED, derive_seed, estimate_evm_batch
+from .simulate import DEFAULT_SEED, check_request, derive_seed, estimate_evm_batch
+
+# Monte Carlo draws per sweep point, unless a spec or preset says otherwise
+DEFAULT_POINT_SAMPLES = 200000
 
 # axis (a CSV column) -> its SweepRow field, also SystemConfig's but for m_d
 _AXIS_FIELDS = {"L": "antennas", "M": "interferers", "m_d": "shape", "rho": "rho"}
@@ -50,7 +51,7 @@ class SweepSpec:
     axis: str
     values: tuple
     base: SystemConfig
-    samples: int = 200000
+    samples: int = DEFAULT_POINT_SAMPLES
     seed: int = DEFAULT_SEED
     rules: tuple = None
 
@@ -63,15 +64,12 @@ class SweepSpec:
         if any(not b > a for a, b in zip(values, values[1:])):  # NaN too
             raise ConfigError(f"values must be strictly increasing, got {values}")
         object.__setattr__(self, "values", values)
-        check_config(self.base)
-        object.__setattr__(self, "samples", check_count(self.samples, "samples", 2))
-        object.__setattr__(self, "seed", check_seed(self.seed))
-        rules = (self.base.rule,) if self.rules is None else tuple(self.rules)
-        if (not rules or not all(isinstance(rule, SelectionRule) for rule in rules)
-                or len(set(rules)) != len(rules)):
-            raise ConfigError(f"rules must be distinct SelectionRules, at least one, "
-                              f"got {self.rules!r}")
-        object.__setattr__(self, "rules", rules)
+        check_config(self.base)  # before base.rule is read
+        _, rules, samples, seed = check_request(
+            (self.base, (self.base.rule,) if self.rules is None else self.rules,
+             self.samples, self.seed))
+        for name, value in (("rules", rules), ("samples", samples), ("seed", seed)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -122,21 +120,22 @@ def cell_row(cfg, rule, analytic, estimate):
         z_score=(estimate.mean - analytic) / estimate.std_error if scored else None)
 
 
-def evaluate_cells(cells, samples):
-    """Closed form and shared-draw estimate of each (SystemConfig, rules, seed) cell.
+def evaluate_cells(requests):
+    """estimate_evm_batch's (cfg, rules, samples, seed) requests, with closed forms and z.
 
-    Per rule: a provably infinite EVM gives a `diverged` row and no draws;
-    no closed form, or a route that fails numerically (NumericalError, e.g.
-    a tail past the double range), leaves the analytic and z columns empty.
-    The rules left are estimated as one estimate_evm_batch plan, each cell
-    on the draws of its own seed, which gives each rule the bits of
-    estimate_evm(cfg, samples, seed) under that rule.
+    Every request is checked by check_request before any closed form. Per
+    rule: a provably infinite EVM gives a `diverged` row and no draws; no
+    closed form, or a route that fails numerically (NumericalError, e.g. a
+    tail past the double range), leaves the analytic and z columns empty.
+    The rules left are estimated as one estimate_evm_batch plan, which gives
+    each rule the bits of estimate_evm(cfg, samples, seed) under that rule.
 
     Returns:
-        one {rule: SweepRow} per cell, in the order of its rules.
+        one {rule: SweepRow} per request, in the order of its rules.
     """
-    exacts = []  # per cell: {rule: closed form or None}, but the diverged rules
-    for cfg, rules, _ in cells:
+    requests = [check_request(request) for request in requests]
+    exacts = []  # per request: {rule: closed form or None}, but the diverged rules
+    for cfg, rules, _, _ in requests:
         exact = {}
         for rule in rules:
             try:
@@ -148,9 +147,9 @@ def evaluate_cells(cells, samples):
         exacts.append(exact)
     batch = iter(estimate_evm_batch(
         [(cfg, tuple(exact), samples, seed)
-         for (cfg, _, seed), exact in zip(cells, exacts) if exact]))
+         for (cfg, _, samples, seed), exact in zip(requests, exacts) if exact]))
     evaluated = []
-    for (cfg, rules, _), exact in zip(cells, exacts):
+    for (cfg, rules, _, _), exact in zip(requests, exacts):
         estimates = next(batch) if exact else {}
         evaluated.append({rule: cell_row(cfg, rule, exact.get(rule), estimates.get(rule))
                           for rule in rules})
@@ -173,8 +172,8 @@ def run_sweep(spec):
             points.append(_apply_axis(spec.base, spec.axis, value))
         except (ConfigError, ValueError):
             points.append(None)
-    evaluated = iter(evaluate_cells([(point, spec.rules, cell_seed(spec.seed, point))
-                                     for point in points if point is not None], spec.samples))
+    evaluated = iter(evaluate_cells([(point, spec.rules, spec.samples, cell_seed(spec.seed, point))
+                                     for point in points if point is not None]))
     cells = [next(evaluated) if point is not None else _unsupported(spec, value)
              for value, point in zip(spec.values, points)]
     return [cell[rule] for rule in spec.rules for cell in cells]
@@ -257,7 +256,7 @@ def emit_plot_script(specs, csv_name="sweep.csv"):
     return "\n".join(lines) + "\n"
 
 
-def preset(name, samples=200000, seed=DEFAULT_SEED):
+def preset(name, samples=DEFAULT_POINT_SAMPLES, seed=DEFAULT_SEED):
     """Built-in sweep families; returns a list of SweepSpec.
 
     fig1: EVM against antenna count under max-SIR selection, two

@@ -17,7 +17,7 @@ symbol-level check likewise demodulates one set of gains and symbols under
 both rules. The grid's rows come from sweep.evaluate_cells, the one path
 that also evaluates every sweep point: the closed forms, then all cells'
 estimates, each cell on its own seed, as one plan of chunks shared out
-between two threads. A grid re-run is a one-cell call on a derived seed;
+between two threads. A grid re-run is a one-request call on a derived seed;
 this module adds only the check policy. Grid and waveform checks alike
 print a sweep.cell_row row through one |z| <= 3 line.
 """
@@ -35,6 +35,7 @@ _ANCHOR_TOL = 1e-10
 _Z_LIMIT = 3.0
 _SYMBOL_SLOTS = 2000   # waveform check: data symbols per fading block
 _SYMBOL_BLOCKS = 2000  # waveform check: fading blocks per rule
+DEFAULT_GRID_SAMPLES = 1000000  # Monte Carlo draws per grid cell
 
 
 @dataclass(frozen=True)
@@ -251,15 +252,15 @@ def mc_grid(samples, seed=DEFAULT_SEED):
     """
     checks = []
     rows = []
-    cells = [(cfg, rules, cell_seed(seed, cfg)) for cfg, rules in _grid_cells()]
-    for (cell, _, _), cell_rows in zip(cells, evaluate_cells(cells, samples)):
+    requests = [(cfg, rules, samples, cell_seed(seed, cfg)) for cfg, rules in _grid_cells()]
+    for (cell, _, _, _), cell_rows in zip(requests, evaluate_cells(requests)):
         where = (f"L={cell.antennas} M={cell.interferers} {cell.fading.kind} "
                  f"m={cell.fading.m:g} rho={cell.rho:g}")
         for rule, row in cell_rows.items():
             note = ""
             if abs(row.z_score) > _Z_LIMIT:
                 retry = derive_seed(cell_seed(seed, cell), "retry")
-                row = evaluate_cells([(cell, (rule,), retry)], samples)[0][rule]
+                row = evaluate_cells([(cell, (rule,), samples, retry)])[0][rule]
                 note = " (after one re-run)"
             if cell.antennas * cell.fading.m <= 1.0:
                 note += " (infinite variance: L*m <= 1)"
@@ -291,7 +292,7 @@ def symbol_level_checks(seed=DEFAULT_SEED):
             for rule, exact in exacts.items()]
 
 
-def run_verification(samples=1000000, seed=DEFAULT_SEED):
+def run_verification(samples=DEFAULT_GRID_SAMPLES, seed=DEFAULT_SEED):
     """Run every verification layer and collect the verdict.
 
     Args:

@@ -354,13 +354,19 @@ def test_alternating_sums_keep_their_digits_or_raise(args, want):
 
 
 # the max-SIR sum by 60-digit mpmath at M = 29348, where its log form first
-# refused at L = 2, and beyond; from M = 1024 each term is a half-moment
+# refused at L = 2, and beyond; from M = 1024 each term is a half-moment.
+# From M = 2^52 the sum is the max-signal sum: there each half-moment is
+# taken by mpmath as sqrt(kM) (1 - 1/(8kM) + 1/(128 (kM)^2))
 MAX_SIR_PAST_THE_LOG_FORM = {
     (2, 29348): (177.8686551498837508, 1e-13),
     (2, 10**6): (1038.279140730858789, 1e-13),
     (2, 10**12): (1038279.427179745103, 1e-13),
     (15, 1024): (18.45373273651874596, 1e-9),
     (15, 10**12): (577116.4432037378707, 1e-9),
+    (3, 2**2046): (7.797106144107841018e307, 1e-9),
+    (8, 2**2045): (4.151771220308885778e307, 1e-9),
+    (15, 2**2044): (2.593695669910805822e307, 1e-9),
+    (20, 2**100): (619437994493084.9684, 1e-9),
 }
 
 
@@ -370,7 +376,8 @@ def test_max_sir_rayleigh_at_large_interferer_counts(args, want):
     assert analytic.evm_max_sir_rayleigh(*args) == pytest.approx(value, rel=rel, abs=0)
 
 
-@pytest.mark.parametrize("antennas,interferers", [(16, 10**6), (1100, 1024)])
+@pytest.mark.parametrize("antennas,interferers", [
+    (16, 10**6), (1100, 1024), pytest.param(21, 2**2046, id="21-2^2046")])
 def test_max_sir_rayleigh_refuses_at_large_interferer_counts(antennas, interferers):
     # at L = 1100 the middle binomial, C(1100, 550), is past the double range
     with pytest.raises(SeriesRangeError, match="analytic_formula"):
@@ -596,7 +603,7 @@ def test_rules_coincide_with_one_antenna():
     # nothing to select from, so both rules and the no-selection result
     # are the same half-inverse-moment expression; the max-SIR sum has one
     # term, which cannot cancel, at any M
-    for interferers in (1, 2, 4, 8, 200_000, 10**6, 10**12):
+    for interferers in (1, 2, 4, 8, 200_000, 10**6, 10**12, 2**52, 10**400, 2**2046):
         sir = analytic.evm_max_sir_rayleigh(1, interferers)
         assert sir == pytest.approx(
             analytic.evm_max_signal_rayleigh(1, interferers), rel=1e-13)

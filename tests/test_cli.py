@@ -188,6 +188,15 @@ def test_eval_mc_refuses_samples_before_printing(capsys):
     assert "samples must be an integer >= 2" in captured.err
 
 
+def test_eval_mc_refuses_samples_on_a_divergent_configuration(capsys):
+    # the request is checked before the closed form finds the moment infinite
+    assert main(["eval", "--L", "1", "--M", "1", "--fading", "nakagami", "--md", "0.3",
+                 "--mc", "--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: samples must be an integer >= 2, got 1\n"
+
+
 def test_verify_refuses_samples_before_printing(capsys):
     assert main(["verify", "--samples", "1"]) == 1
     captured = capsys.readouterr()

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from scevm import analytic, simulate
+from scevm import analytic, simulate, sweep
 from scevm.model import (
     ConfigError,
     DivergentMomentError,
@@ -29,6 +29,8 @@ def test_error_hierarchy():
 
 
 _MAX_SIR = (SelectionRule.MAX_SIR,)
+# 2 L m = 0.6 < 1, an infinite moment: each refusal below comes from the request check
+_DIVERGENT = SystemConfig(1, 1, SelectionRule.MAX_SIR, Fading.nakagami(0.3))
 _TAKES_A_CONFIG = {
     "sir_cdf_best_antenna": lambda cfg: analytic.sir_cdf_best_antenna(0.5, cfg),
     "evm_from_sir_cdf": analytic.evm_from_sir_cdf,
@@ -40,11 +42,41 @@ _TAKES_A_CONFIG = {
     "estimate_evm_symbol_level_rules":
         lambda cfg: simulate.estimate_evm_symbol_level_rules(cfg, _MAX_SIR, 1, 2),
     "SweepSpec": lambda cfg: SweepSpec("L", (1, 2), cfg),
+    "evaluate_cells": lambda cfg: sweep.evaluate_cells([(cfg, _MAX_SIR, 100, 1)]),
 }
+_TAKES_RULES = {
+    "SweepSpec": lambda rules: SweepSpec("L", (1, 2), _DIVERGENT, rules=rules),
+    "estimate_evm_batch": lambda rules: simulate.estimate_evm_batch([(_DIVERGENT, rules, 100, 1)]),
+    "estimate_evm_symbol_level_rules":
+        lambda rules: simulate.estimate_evm_symbol_level_rules(_DIVERGENT, rules, 1, 2),
+    "evaluate_cells": lambda rules: sweep.evaluate_cells([(_DIVERGENT, rules, 100, 1)]),
+}
+_BAD_RULES = {
+    "empty": (),
+    "text": ("max_sir",),
+    "none-inside": (SelectionRule.MAX_SIR, None),
+    "duplicate": (SelectionRule.MAX_SIR, SelectionRule.MAX_SIGNAL, SelectionRule.MAX_SIR),
+    "none": None,
+    "int": 5,
+}
+_SHORT_REQUEST = (_DIVERGENT, _MAX_SIR, 100)
 _REFUSALS = {
     **{f"{name}-{kind}": (lambda call=call, bad=bad: call(bad), "cfg must be a SystemConfig")
        for name, call in _TAKES_A_CONFIG.items()
        for kind, bad in (("str", "cfg"), ("dict", {"antennas": 2, "interferers": 1}))},
+    # a spec's rules of None are its default, (base.rule,)
+    **{f"{name}-rules-{kind}": (lambda call=call, bad=bad: call(bad),
+                                f"rules must be distinct SelectionRules, at least one, "
+                                f"got {bad!r}")
+       for name, call in _TAKES_RULES.items() for kind, bad in _BAD_RULES.items()
+       if (name, kind) != ("SweepSpec", "none")},
+    "evaluate_cells-short-request": (
+        lambda: sweep.evaluate_cells([_SHORT_REQUEST]),
+        f"each request must be a (cfg, rules, samples, seed) tuple, got {_SHORT_REQUEST!r}"),
+    "evaluate_cells-samples": (lambda: sweep.evaluate_cells([(_DIVERGENT, _MAX_SIR, 1, 1)]),
+                               "samples must be an integer >= 2, got 1"),
+    "evaluate_cells-seed": (lambda: sweep.evaluate_cells([(_DIVERGENT, _MAX_SIR, 100, 1.5)]),
+                            "seed must be an integer, got 1.5"),
     # the closed forms' counts, with SystemConfig's message
     "SystemConfig": (lambda: SystemConfig(1, 0, SelectionRule.MAX_SIR),
                      "interferers must be an integer >= 1, got 0"),
@@ -59,8 +91,9 @@ _REFUSALS = {
 
 @pytest.mark.parametrize("call,message", _REFUSALS.values(), ids=_REFUSALS)
 def test_one_refusal_per_argument_kind(call, message):
-    # a non-config and a bad count raise one class, with one message, in
-    # every module; it is also the closed forms' UnsupportedDomainError
+    # a non-config, a bad rule set, request or count raise one class, with
+    # one message, in every module; it is also the closed forms'
+    # UnsupportedDomainError
     with pytest.raises(ConfigError) as caught:
         call()
     assert isinstance(caught.value, UnsupportedDomainError)

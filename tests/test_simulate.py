@@ -421,15 +421,6 @@ def test_rules_stop_taking_chunks_independently(wanted, rows):
         assert np.array_equal(np.concatenate(parts), serial)
 
 
-def test_rules_are_validated():
-    with pytest.raises(ConfigError):
-        estimate_evm_batch([(RAYLEIGH_21_SIR, (), 100, DEFAULT_SEED)])
-    with pytest.raises(ConfigError):
-        estimate_evm_batch([(RAYLEIGH_21_SIR, ("max_sir",), 100, DEFAULT_SEED)])
-    with pytest.raises(ConfigError):
-        estimate_evm_symbol_level_rules("not a config", BOTH_RULES, 10, 100)
-
-
 @pytest.mark.parametrize("interferers", range(1, 8))
 def test_in_order_interferer_sum_is_numpys_below_eight(interferers):
     power = _chunk_rng(71, interferers).standard_exponential((5000, 3, interferers))

@@ -49,13 +49,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
     {"axis": "L", "values": (1, 2), "base": BASE, "seed": 7.5},
     {"axis": "L", "values": (1, 2), "base": BASE, "seed": True},
     {"axis": "L", "values": (1, 2), "base": BASE, "seed": "7"},
-    {"axis": "L", "values": (1, 2), "base": BASE, "rules": ()},
-    {"axis": "L", "values": (1, 2), "base": BASE, "rules": ("max_sir",)},
-    {"axis": "L", "values": (1, 2), "base": BASE, "rules": (SelectionRule.MAX_SIR, None)},
-    {"axis": "L", "values": (1, 2), "base": BASE,
-     "rules": (SelectionRule.MAX_SIR, SelectionRule.MAX_SIGNAL, SelectionRule.MAX_SIR)},
 ])
 def test_spec_validation(kwargs):
+    # the rule sets are refused in tests/test_model.py, one table for every caller
     with pytest.raises(ConfigError):
         SweepSpec(**kwargs)
 
@@ -331,23 +327,23 @@ def test_evaluate_cells_mixed_call(monkeypatch):
         (SystemConfig(2, 2, "max_sir", rho=0.5), (SelectionRule.MAX_SIR,)),  # no route
         (SystemConfig(1, 2, "max_signal", Fading.nakagami(0.505)), both),  # tail too slow
     ]
-    # each cell carries its seed: cell_seed as a sweep gives it, then a raw
+    # each request carries its seed: cell_seed as a sweep gives it, then a raw
     # seed as eval --mc gives it, whose row is estimate_evm(cfg, samples, seed)
-    cells = [(cfg, rules, cell_seed(11, cfg)) for cfg, rules in cells]
-    cells.append((SystemConfig(3, 2, "max_signal"), (SelectionRule.MAX_SIGNAL,), 11))
+    cells = [(cfg, rules, 3000, cell_seed(11, cfg)) for cfg, rules in cells]
+    cells.append((SystemConfig(3, 2, "max_signal"), (SelectionRule.MAX_SIGNAL,), 3000, 11))
     calls = []
     original = sweep.estimate_evm_batch
 
     def counting(requests):
-        calls.append([(cfg, rules, seed) for cfg, rules, _, seed in requests])
+        calls.append(list(requests))
         return original(requests)
 
     monkeypatch.setattr(sweep, "estimate_evm_batch", counting)
-    evaluated = evaluate_cells(cells, 3000)
+    evaluated = evaluate_cells(cells)
     # one plan, without the diverged cell
     assert calls == [[cells[0], cells[2], cells[3], cells[4]]]
-    assert [tuple(rows) for rows in evaluated] == [rules for _, rules, _ in cells]
-    for index, ((cfg, _, seed), rows) in enumerate(zip(cells, evaluated)):
+    assert [tuple(rows) for rows in evaluated] == [rules for _, rules, _, _ in cells]
+    for index, ((cfg, _, _, seed), rows) in enumerate(zip(cells, evaluated)):
         for rule, row in rows.items():
             point = dataclasses.replace(cfg, rule=rule)
             assert (row.antennas, row.interferers, row.rule, row.shape, row.rho) == (
@@ -364,6 +360,19 @@ def test_evaluate_cells_mixed_call(monkeypatch):
                 assert row.z_score == (reference.mean - row.analytic) / reference.std_error
             else:
                 assert (row.analytic, row.z_score) == (None, None)
+
+
+def test_evaluate_cells_checks_every_request_before_any_closed_form(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("reached past the request check")
+
+    monkeypatch.setattr(sweep, "analytic_formula", unreachable)
+    monkeypatch.setattr(sweep, "estimate_evm_batch", unreachable)
+    good = (BASE, (SelectionRule.MAX_SIR,), 2000, 1)
+    for bad in [(BASE, (SelectionRule.MAX_SIR,), 1, 1), (BASE, (), 2000, 1),
+                (BASE, (SelectionRule.MAX_SIR,), 2000), ("cfg", (SelectionRule.MAX_SIR,), 2000, 1)]:
+        with pytest.raises(ConfigError):
+            evaluate_cells([good, bad])
 
 
 @pytest.mark.parametrize("axis, values, base", [

@@ -17,9 +17,9 @@ symbol-level check likewise demodulates one set of gains and symbols under
 both rules. The grid's rows come from sweep.evaluate_cells, the one path
 that also evaluates every sweep point: the closed forms, then all cells'
 estimates, each cell on its own seed, as one plan of chunks shared out
-between two threads. A grid re-run is a one-request call on a derived seed;
-this module adds only the check policy. Grid and waveform checks alike
-print a sweep.cell_row row through one |z| <= 3 line.
+between two threads. Grid and waveform checks alike print a sweep.cell_row
+row through one |z| <= 3 line, and a failing row gets one re-run of its
+rule alone on a derived seed (33 z checks trip on about 8.5% of seeds).
 """
 
 import math
@@ -86,34 +86,25 @@ def quadrature_identity_checks():
                     SelectionRule.MAX_SIGNAL: analytic.evm_max_signal_rayleigh}
     checks = []
     for rule, closed_form in closed_forms.items():
-        for antennas in (1, 2, 3):
+        for antennas in (1, 2, 3, 4):
             for interferers in (1, 2, 4):
                 checks.append(_close(
                     f"defining-integral {rule.value} L={antennas} M={interferers}",
                     analytic.evm_from_sir_cdf(SystemConfig(antennas, interferers, rule)),
-                    closed_form(antennas, interferers), 1e-7))
+                    closed_form(antennas, interferers), 1e-8))
     return checks
 
 
 def reduction_checks():
-    """Each general result against the special case it must contain."""
-    checks = []
-    for antennas in (1, 2, 3, 4):
-        checks.append(_close(
-            f"reduction nakagami-sir m=1 L={antennas}",
-            analytic_formula(SystemConfig(antennas, 2, SelectionRule.MAX_SIR,
-                                          Fading.nakagami(1.0))),
-            analytic.evm_max_sir_rayleigh(antennas, 2), 1e-6))
-    for interferers in (1, 2, 4):
-        checks.append(_close(
-            f"reduction nakagami-signal m=1 M={interferers}",
-            analytic_formula(SystemConfig(2, interferers, SelectionRule.MAX_SIGNAL,
-                                          Fading.nakagami(1.0))),
-            analytic.evm_max_signal_rayleigh(2, interferers), 1e-8))
-    checks.append(_close(
-        "reduction correlated-sir rho=0",
-        analytic_formula(SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=0.0)),
-        analytic.evm_max_sir_rayleigh(2, 1), 1e-6))
+    """Each general result against the special case it must contain, where
+    the two sides run different code. analytic_formula at rho = 0 or at
+    Nakagami m = 1 evaluates the Rayleigh defining integral again, so the
+    correlated max-SIR side runs at rho = 1e-9, on the pair's closed-form CDF.
+    """
+    checks = [_close(
+        "reduction correlated-sir rho=1e-9",
+        analytic_formula(SystemConfig(2, 1, SelectionRule.MAX_SIR, rho=1e-9)),
+        analytic.evm_max_sir_rayleigh(2, 1), 1e-6)]
     for interferers in (1, 2, 4):
         checks.append(_close(
             f"reduction correlated-signal rho=0 M={interferers}",
@@ -228,23 +219,27 @@ def _grid_cells():
             for antennas, interferers, fading, rho, rules in cells]
 
 
-def _z_check(name, row, label, note=""):
-    # the one agreement line of a SweepRow scored by sweep.cell_row
-    return CheckResult(name, abs(row.z_score) <= _Z_LIMIT,
-                       f"exact {row.analytic:.9g}, {label} {row.mc_mean:.9g} "
-                       f"+- {row.mc_stderr:.2g}, z {row.z_score:+.2f}{note}")
+def _z_check(name, row, label, rerun, note=""):
+    # the one agreement line of a SweepRow scored by sweep.cell_row: a row
+    # failing |z| <= 3 is replaced by rerun(), its one re-run on a derived seed
+    if abs(row.z_score) > _Z_LIMIT:
+        row, note = rerun(), " (after one re-run)" + note
+    return row, CheckResult(name, abs(row.z_score) <= _Z_LIMIT,
+                            f"exact {row.analytic:.9g}, {label} {row.mc_mean:.9g} "
+                            f"+- {row.mc_stderr:.2g}, z {row.z_score:+.2f}{note}")
 
 
 def mc_grid(samples, seed=DEFAULT_SEED):
     """Monte Carlo z test of every grid configuration under each of its rules.
 
     A point failing |z| <= 3 is granted one deterministic re-run under a
-    derived fresh seed; 31 three-sigma tests are expected to trip roughly
-    once per ten grids, so a single honest retry keeps the grid usable
-    without masking real disagreement. At L m <= 1 a draw has infinite
-    variance, so z is uncalibrated; those checks say so in their detail. A
-    configuration with both rules and at least two antennas also checks
-    that max-SIR beats max-signal on its shared draws, before any re-run.
+    derived fresh seed, as a waveform check is; the report's 33 three-sigma
+    tests trip on about 8.5% of seeds (1 - 0.9973^33), so a single honest
+    retry keeps verify usable without masking real disagreement. At L m <= 1
+    a draw has infinite variance, so z is uncalibrated; those checks say so
+    in their detail. A configuration with both rules and at least two
+    antennas also checks that max-SIR beats max-signal on its shared draws,
+    before any re-run.
 
     Returns:
         (checks, rows): CheckResults including draw-by-draw rule ordering,
@@ -256,15 +251,13 @@ def mc_grid(samples, seed=DEFAULT_SEED):
     for (cell, _, _, _), cell_rows in zip(requests, evaluate_cells(requests)):
         where = (f"L={cell.antennas} M={cell.interferers} {cell.fading.kind} "
                  f"m={cell.fading.m:g} rho={cell.rho:g}")
+        retry = derive_seed(cell_seed(seed, cell), "retry")
+        note = " (infinite variance: L*m <= 1)" if cell.antennas * cell.fading.m <= 1.0 else ""
         for rule, row in cell_rows.items():
-            note = ""
-            if abs(row.z_score) > _Z_LIMIT:
-                retry = derive_seed(cell_seed(seed, cell), "retry")
-                row = evaluate_cells([(cell, (rule,), samples, retry)])[0][rule]
-                note = " (after one re-run)"
-            if cell.antennas * cell.fading.m <= 1.0:
-                note += " (infinite variance: L*m <= 1)"
-            checks.append(_z_check(f"grid {rule.value} {where}", row, "mc", note))
+            row, check = _z_check(
+                f"grid {rule.value} {where}", row, "mc",
+                lambda: evaluate_cells([(cell, (rule,), samples, retry)])[0][rule], note)
+            checks.append(check)
             rows.append(row)
         # one antenna leaves nothing to select, so the rules tie
         if cell.antennas >= 2 and len(cell_rows) == 2:
@@ -287,9 +280,13 @@ def symbol_level_checks(seed=DEFAULT_SEED):
               SelectionRule.MAX_SIGNAL: analytic.evm_max_signal_rayleigh(2, 1)}
     estimates = estimate_evm_symbol_level_rules(
         cfg, tuple(exacts), _SYMBOL_SLOTS, _SYMBOL_BLOCKS, seed=seed)
-    return [_z_check(f"symbol-level {rule.value} L=2 M=1",
-                     cell_row(cfg, rule, exact, estimates[rule]), "waveform mc")
-            for rule, exact in exacts.items()]
+    retry = derive_seed(seed, "retry")
+    return [_z_check(
+        f"symbol-level {rule.value} L=2 M=1", cell_row(cfg, rule, exact, estimates[rule]),
+        "waveform mc",
+        lambda: cell_row(cfg, rule, exact, estimate_evm_symbol_level_rules(
+            cfg, (rule,), _SYMBOL_SLOTS, _SYMBOL_BLOCKS, seed=retry)[rule]))[1]
+        for rule, exact in exacts.items()]
 
 
 def run_verification(samples=DEFAULT_GRID_SAMPLES, seed=DEFAULT_SEED):

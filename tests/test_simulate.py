@@ -459,10 +459,10 @@ def test_verification_equals_per_rule_reference(monkeypatch):
 
 
 # SHA-256 of every "name|passed|detail" line of run_verification(samples=2000,
-# seed=3), then its grid rows as CSV: 108 checks, all passing. It pins the
+# seed=3), then its grid rows as CSV: 107 checks, all passing. It pins the
 # grid, shared-draw ordering and waveform lines beside the closed-form ones,
 # whichever thread drew each chunk.
-VERIFICATION_REPORT_SHA256 = "f46ad1774ce0f5a0942553b5ffc30704b1a385370da69538a4680e7cd4fff36b"
+VERIFICATION_REPORT_SHA256 = "090c8208e1cd3b483a2335414c081c2184a285c19445f822c092e721d706d404"
 
 
 @pytest.mark.threads
@@ -470,14 +470,14 @@ def test_verification_report_is_frozen():
     report = verify.run_verification(samples=2000, seed=3)
     text = "".join(f"{c.name}|{c.passed}|{c.detail}\n" for c in report.checks)
     text += emit_csv(report.rows)
-    assert (len(report.checks), report.passed) == (108, True)
+    assert (len(report.checks), report.passed) == (107, True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == VERIFICATION_REPORT_SHA256
 
 
 # the same text for seed=1, where three grid checks fail |z| <= 3 at first:
 # it pins their re-run rows, drawn on each cell's retry seed
 VERIFICATION_RERUN_REPORT_SHA256 = (
-    "83482cbf665c1662df7a3dea8333ca76f27a369f45903c06dae038e715d44e61")
+    "9d6930a7482088d24bf536321dfc3f75684440d74ca38fb236d9ded940716a39")
 
 
 @pytest.mark.threads
@@ -485,9 +485,25 @@ def test_verification_report_with_grid_reruns_is_frozen():
     report = verify.run_verification(samples=2000, seed=1)
     text = "".join(f"{c.name}|{c.passed}|{c.detail}\n" for c in report.checks)
     text += emit_csv(report.rows)
-    assert (len(report.checks), report.passed) == (108, True)
+    assert (len(report.checks), report.passed) == (107, True)
     assert sum("after one re-run" in c.detail for c in report.checks) == 3
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == VERIFICATION_RERUN_REPORT_SHA256
+
+
+@pytest.mark.threads
+def test_a_failing_waveform_check_gets_one_re_run_of_its_rule():
+    # at seed 9 the max-SIR waveform estimate reads z -3.61; like a grid
+    # point, its rule alone is drawn again once, on the derived retry seed
+    sir, signal = verify.symbol_level_checks(seed=9)
+    assert sir.passed and signal.passed
+    assert "re-run" not in signal.detail
+    cfg = SystemConfig(2, 1, SelectionRule.MAX_SIR)
+    exact = analytic.evm_max_sir_rayleigh(2, 1)
+    rerun = estimate_evm_symbol_level_rules(cfg, (SelectionRule.MAX_SIR,), 2000, 2000,
+                                            seed=derive_seed(9, "retry"))[SelectionRule.MAX_SIR]
+    z = (rerun.mean - exact) / rerun.std_error
+    assert sir.detail == (f"exact {exact:.9g}, waveform mc {rerun.mean:.9g} "
+                          f"+- {rerun.std_error:.2g}, z {z:+.2f} (after one re-run)")
 
 
 # correlated powers: the pair kernel forms h2 over h1 in place, so its

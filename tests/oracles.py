@@ -5,18 +5,36 @@ and incomplete gamma and beta functions, none of which scevm uses;
 `exact_single_antenna` is the closed form at L = 1. `correlated_pairs`
 forms the Monte Carlo's correlated gain pairs from whole fills.
 `draw_channels` gives the power estimator's draws of a chunk as whole
-arrays.
+arrays. `assert_golden` holds a frozen text to its committed file under
+tests/golden.
 """
 
+import difflib
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from scevm import simulate
 from scevm.model import SelectionRule
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_GOLDEN = Path(__file__).with_name("golden")
+
+
+def assert_golden(name, text):
+    """Fail unless text equals tests/golden/<name> byte for byte, showing the moved lines.
+
+    Nothing here rewrites a golden file: a change that moves a text on
+    purpose rewrites its file, and the diff of that file lists the moves.
+    """
+    want = (_GOLDEN / name).read_bytes().decode("utf-8")
+    if text != want:
+        pytest.fail("".join(difflib.unified_diff(
+            want.splitlines(keepends=True), text.splitlines(keepends=True),
+            f"tests/golden/{name}", "computed")), pytrace=False)
 
 
 def exact_single_antenna(m, interferers):

@@ -4,10 +4,10 @@ Run with -v for the per-criterion verdict lines; each test also prints a
 [PASS]/[FAIL] line with the measured numbers.
 """
 
-import hashlib
 import time
 
 import pytest
+from oracles import assert_golden
 
 from scevm import analytic
 from scevm.model import SelectionRule, SystemConfig
@@ -141,11 +141,10 @@ def test_verification_rerun_is_byte_identical():
             f"({len(first.rows)} rows) and both passed")
 
 
-# SHA-256 of the "name | detail" lines of the analytic verification checks,
-# as `scevm verify` prints them. The details carry every value to 9 to 12
-# digits and every error to 3, so a change of route or of quadrature shows
-# here; a change that moves these lines on purpose recomputes the hash.
-ANALYTIC_CHECKS_SHA256 = "5c858fbeee0d7c98a3db59b1ba819fe16624db8650e562e6944fd2cac4cc443e"
+# the "name | detail" lines of the analytic verification checks, as
+# `scevm verify` prints them. The details carry every value to 9 to 12 digits
+# and every error to 3, so a change of route or of quadrature shows here; a
+# change that moves these lines on purpose rewrites the golden file.
 
 
 def test_analytic_verification_output_is_frozen():
@@ -153,8 +152,6 @@ def test_analytic_verification_output_is_frozen():
                                    quadrature_identity_checks, monotonicity_checks,
                                    rule_ordering_checks, asymptotic_checks)
               for check in family()]
-    text = "".join(f"{check.name} | {check.detail}\n" for check in checks)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    _report(len(checks) == 62 and digest == ANALYTIC_CHECKS_SHA256,
-            "analytic verification output",
-            f"{len(checks)} check lines, sha256 {digest[:16]}...")
+    _report(len(checks) == 62, "analytic verification output", f"{len(checks)} check lines")
+    assert_golden("analytic_checks.txt",
+                  "".join(f"{check.name} | {check.detail}\n" for check in checks))

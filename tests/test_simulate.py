@@ -1,7 +1,6 @@
 """Channel simulator: determinism, distributional faithfulness, selection."""
 
 import functools
-import hashlib
 import math
 import os
 import subprocess
@@ -13,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import ChannelDraw, correlated_pairs, draw_channels
+from oracles import ChannelDraw, assert_golden, correlated_pairs, draw_channels
 
 import scevm
 from scevm import analytic, simulate, verify
@@ -458,36 +457,30 @@ def test_verification_equals_per_rule_reference(monkeypatch):
     assert text(verify.run_verification(**args)) == shared
 
 
-# SHA-256 of every "name|passed|detail" line of run_verification(samples=2000,
-# seed=3), then its grid rows as CSV: 107 checks, all passing. It pins the
-# grid, shared-draw ordering and waveform lines beside the closed-form ones,
+def _report_text(report):
+    return "".join(f"{c.name}|{c.passed}|{c.detail}\n" for c in report.checks) + emit_csv(
+        report.rows)
+
+
+# every "name|passed|detail" line of run_verification(samples=2000, seed=3),
+# then its grid rows as CSV: 107 checks, all passing. It pins the grid,
+# shared-draw ordering and waveform lines beside the closed-form ones,
 # whichever thread drew each chunk.
-VERIFICATION_REPORT_SHA256 = "090c8208e1cd3b483a2335414c081c2184a285c19445f822c092e721d706d404"
-
-
 @pytest.mark.threads
 def test_verification_report_is_frozen():
     report = verify.run_verification(samples=2000, seed=3)
-    text = "".join(f"{c.name}|{c.passed}|{c.detail}\n" for c in report.checks)
-    text += emit_csv(report.rows)
     assert (len(report.checks), report.passed) == (107, True)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == VERIFICATION_REPORT_SHA256
+    assert_golden("verify_seed3.txt", _report_text(report))
 
 
 # the same text for seed=1, where three grid checks fail |z| <= 3 at first:
 # it pins their re-run rows, drawn on each cell's retry seed
-VERIFICATION_RERUN_REPORT_SHA256 = (
-    "9d6930a7482088d24bf536321dfc3f75684440d74ca38fb236d9ded940716a39")
-
-
 @pytest.mark.threads
 def test_verification_report_with_grid_reruns_is_frozen():
     report = verify.run_verification(samples=2000, seed=1)
-    text = "".join(f"{c.name}|{c.passed}|{c.detail}\n" for c in report.checks)
-    text += emit_csv(report.rows)
     assert (len(report.checks), report.passed) == (107, True)
     assert sum("after one re-run" in c.detail for c in report.checks) == 3
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == VERIFICATION_RERUN_REPORT_SHA256
+    assert_golden("verify_seed1.txt", _report_text(report))
 
 
 @pytest.mark.threads

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import hashlib
 import io
 import itertools
 import re
@@ -10,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import assert_golden
 
 from scevm import analytic, simulate, sweep
 from scevm.analytic import analytic_formula, formula_name
@@ -409,7 +409,6 @@ def test_two_rule_spec_draws_each_point_once(monkeypatch):
 
 # fig2 at 2000 draws and seed 3, as written when each rule was its own spec
 # and drew its own channels; sharing the draws must keep every byte
-FIG2_CSV_SHA256 = "63e30b763eca1fbe7f66c51dd6fb2cf30bb4badb67f536128784158322e5705e"
 FIG2_PLOT = """set datafile separator ','
 set xlabel 'rho'
 set ylabel 'EVM'
@@ -425,22 +424,20 @@ plot \\
 def test_fig2_output_is_frozen():
     specs = preset("fig2", samples=2000, seed=3)
     text = emit_csv([row for spec in specs for row in run_sweep(spec)])
-    assert hashlib.sha256(text.encode()).hexdigest() == FIG2_CSV_SHA256
+    assert_golden("fig2.csv", text)
     assert emit_plot_script(specs, csv_name="fig2.csv") == FIG2_PLOT
 
 
 # fig1 and fig3 at a sample count that leaves a partial last chunk, and seed
 # 3, as written when every chunk was drawn in full; a partial chunk must keep
-# every byte of the rows and their repr
-FIG1_FIG3_SHA256 = "227fe934ef70f96e65469eac783a60dcadba92fab82e3c9719e32dd11384f6d2"
+# every byte of the rows and their repr, one row per line
 
 
 def test_fig1_and_fig3_output_is_frozen():
     samples = simulate.CHUNK + 4099
     specs = preset("fig1", samples=samples, seed=3) + preset("fig3", samples=samples, seed=3)
     rows = [row for spec in specs for row in run_sweep(spec)]
-    text = emit_csv(rows) + repr(rows)
-    assert hashlib.sha256(text.encode()).hexdigest() == FIG1_FIG3_SHA256
+    assert_golden("fig1_fig3.txt", emit_csv(rows) + "".join(f"{row!r}\n" for row in rows))
 
 
 def test_csv_header_and_round_trip():

@@ -29,6 +29,7 @@ from .model import (
     UnsupportedDomainError,
     check_config,
     check_count,
+    check_number,
 )
 from .quadrature import integrate_semi_infinite
 from .specfun import gamma_ratio, log_gamma, regularized_gamma_p
@@ -325,6 +326,7 @@ def evm_max_signal_correlated(rho, interferers):
         The EVM.
     """
     interferers = check_count(interferers, "interferers", 1)
+    rho = check_number(rho, "rho")
     if not (0.0 <= rho < 1.0):
         raise UnsupportedDomainError(
             f"rho must lie in [0, 1), got {rho}; use evm_fully_correlated at rho = 1")

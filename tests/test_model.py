@@ -86,6 +86,11 @@ _REFUSALS = {
                              "interferers must be an integer >= 1, got True"),
     "sir_cdf_single_antenna": (lambda: analytic.sir_cdf_single_antenna(1.0, 2.0, Fading.rayleigh()),
                                "interferers must be an integer >= 1, got 2.0"),
+    # rho with SystemConfig's message: a bool is not a coefficient, nor is text
+    **{f"evm_max_signal_correlated-rho-{kind}": (
+        lambda bad=bad: analytic.evm_max_signal_correlated(bad, 1),
+        f"rho must be a number, got {bad!r}")
+       for kind, bad in (("bool", False), ("text", "0.5"), ("none", None))},
 }
 
 

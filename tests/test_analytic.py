@@ -384,6 +384,23 @@ def test_max_sir_rayleigh_refuses_at_large_interferer_counts(antennas, interfere
         analytic.evm_max_sir_rayleigh(antennas, interferers)
 
 
+@pytest.mark.parametrize("antennas,interferers,returns", [
+    pytest.param(antennas, interferers, returns,
+                 id=f"L{antennas}-M{interferers}-{'returns' if returns else 'refuses'}")
+    for antennas, edges in ((6, (536, 537, 1023, 1024)), (8, (112, 113, 1023, 1024)))
+    for interferers, returns in zip(edges, (True, False, False, True))])
+def test_max_sir_rayleigh_refusal_band_below_1024_interferers(antennas, interferers, returns):
+    # the edges the docstring and README state: below M = 1024 the refusal
+    # scale grows with lnGamma(LM), so L = 6 and 8 refuse in a band that ends
+    # where the scale drops to 18; a returned value agrees with the integral
+    if not returns:
+        with pytest.raises(SeriesRangeError, match="analytic_formula"):
+            analytic.evm_max_sir_rayleigh(antennas, interferers)
+        return
+    want = analytic.evm_from_sir_cdf(SystemConfig(antennas, interferers, SelectionRule.MAX_SIR))
+    assert analytic.evm_max_sir_rayleigh(antennas, interferers) == pytest.approx(want, rel=1e-8)
+
+
 def test_rayleigh_sums_refuse_a_large_array_before_forming_a_term():
     # from L = 25 each sum is refused up front; forming its L big-integer
     # binomials first would take seconds at L = 8000

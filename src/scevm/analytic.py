@@ -39,8 +39,8 @@ _LN2 = math.log(2.0)
 
 # an alternating antenna sum is refused once largest term / |sum|, times
 # the units of roundoff each term carries, passes this bound. Against
-# 150-digit mpmath for L <= 40 and M up to 4096, every value returned under
-# it is within 3.6e-10 relative, and refusals start where errors pass 1e-9.
+# 60-digit mpmath for L <= 24 and 74 values of M up to 4096, every value
+# returned under it is within 4.6e-10 relative (3.6e-10 for max-signal).
 _MAX_CANCELLATION = 2e6
 
 # from this L both alternating sums are refused before any term is formed,
@@ -226,21 +226,19 @@ def evm_max_sir_rayleigh(antennas, interferers):
     """EVM under max-SIR selection, independent Rayleigh channels.
 
     Closed form: sqrt(pi) * sum_{k=1}^{L} (-1)^(k-1) C(L, k)
-    Gamma(kM + 1/2) / Gamma(kM), combined with compensated summation.
-    Below M = 1024 the terms are produced in log space relative to the
-    largest. Each log carries an absolute error of about lnGamma(LM) units
-    of roundoff, so the sum is refused once largest term / |sum| passes
-    2e6 / max(1, lnGamma(LM)): from L = 15, 14, 13, 12 at M = 1, 2, 4, 8,
-    and from M = 537 to 1023 at L = 6 and from M = 113 to 1023 at L = 8.
-    From M = 1024, where the half-moment is a Stirling difference, each
-    term is C(L, k) / C(L, L // 2) times the half-moment at kM, good to a
-    few units of roundoff, and the sum is refused once largest term / |sum|
-    passes 2e6 / 18: every L up to 15 is returned, to within 1.5e-10 of
-    60-digit mpmath, and L = 16 is refused. From M = 2^52 the sum is the
+    Gamma(kM + 1/2) / Gamma(kM), combined with compensated summation. Each
+    term is C(L, k) / C(L, L // 2) times the half-moment at kM. The sum is
+    refused once largest term / |sum| passes 2e6 / s, where s is the units
+    of roundoff a term carries: 18 from M = 1024, where the half-moment is a
+    Stirling difference, and max(18, lnGamma(LM)) below it, where it is a
+    difference of log-gamma values. So it refuses from L = 15, 14, 13, 12 at
+    M = 1, 2, 4, 8, from M = 537 to 1023 at L = 6 and from M = 113 to 1023
+    at L = 8; from M = 1024 every L up to 15 is returned, to within 1.5e-10
+    of 60-digit mpmath, and L = 16 is refused. From M = 2^52 the sum is the
     max-signal sum, which returns every L up to 20 and M up to 2^2046. At
-    L = 1 each form returns evm_fully_correlated(M) bit for bit. From L = 25
-    the sum is refused before any term is formed: there the middle term
-    alone is at least C(L, L // 2) > 2e6 times the sum at every M.
+    L = 1 the sum is one term and returns evm_fully_correlated(M) bit for
+    bit. From L = 25 the sum is refused before any term is formed: there the
+    middle term alone is at least C(L, L // 2) > 2e6 times the sum at every M.
 
     Args:
         antennas: number of antennas L >= 1.
@@ -261,22 +259,15 @@ def evm_max_sir_rayleigh(antennas, interferers):
         # C(L, k) sqrt(k) = L C(L - 1, k - 1) / sqrt(k), so sqrt(pi) sum_k
         # (-1)^(k-1) C(L, k) sqrt(kM) is the max-signal sum term for term
         return evm_max_signal_rayleigh(antennas, interferers)
-    if interferers >= 1024:
-        # gamma_ratio's Stirling range: each term is a half-moment good to a
-        # few units of roundoff. Its binomial is taken relative to the middle
-        # one, which multiplies in only once the sum has passed the refusal
-        # test, so the binomials scale no term up toward overflow
-        middle = math.comb(antennas, antennas // 2)
-        total = _alternating_sum(
-            [_times_half_moment(_SQRT_PI * (math.comb(antennas, k) / middle), k * interferers)
-             for k in range(1, antennas + 1)], antennas, interferers, 18.0)
-        return total * middle
-    logs = [math.log(math.comb(antennas, k)) + log_gamma(k * interferers + 0.5)
-            - log_gamma(k * interferers) for k in range(1, antennas + 1)]
-    peak = max(logs)
-    total = _alternating_sum([math.exp(a - peak) for a in logs], antennas, interferers,
-                             max(1.0, log_gamma(antennas * interferers)))
-    return _SQRT_PI * total * math.exp(peak)
+    # each binomial is taken relative to the middle one, which multiplies in
+    # only once the sum has passed the refusal test, so the binomials scale
+    # no term up toward overflow
+    middle = math.comb(antennas, antennas // 2)
+    scale = 18.0 if interferers >= 1024 else max(18.0, log_gamma(antennas * interferers))
+    total = _alternating_sum(
+        [_times_half_moment(_SQRT_PI * (math.comb(antennas, k) / middle), k * interferers)
+         for k in range(1, antennas + 1)], antennas, interferers, scale)
+    return total * middle
 
 
 def evm_max_signal_rayleigh(antennas, interferers):

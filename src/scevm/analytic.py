@@ -257,7 +257,9 @@ def evm_max_sir_rayleigh(antennas, interferers):
     if interferers >= 2 ** 52:
         # Gamma(kM + 1/2) / Gamma(kM) is sqrt(kM) to rounding here, and
         # C(L, k) sqrt(k) = L C(L - 1, k - 1) / sqrt(k), so sqrt(pi) sum_k
-        # (-1)^(k-1) C(L, k) sqrt(kM) is the max-signal sum term for term
+        # (-1)^(k-1) C(L, k) sqrt(kM) is the max-signal sum term for term.
+        # That sum scales by the half-moment once, where a term's own
+        # sqrt(kM) would pass the double range at the largest M
         return evm_max_signal_rayleigh(antennas, interferers)
     # each binomial is taken relative to the middle one, which multiplies in
     # only once the sum has passed the refusal test, so the binomials scale

@@ -353,11 +353,12 @@ def test_alternating_sums_keep_their_digits_or_raise(args, want):
         closed_form(antennas + 1, interferers)
 
 
-# the max-SIR sum by 60-digit mpmath at M = 29348, where its log form first
-# refused at L = 2, and beyond; from M = 1024 each term is a half-moment.
-# From M = 2^52 the sum is the max-signal sum: there each half-moment is
-# taken by mpmath as sqrt(kM) (1 - 1/(8kM) + 1/(128 (kM)^2))
-MAX_SIR_PAST_THE_LOG_FORM = {
+# the max-SIR sum by 60-digit mpmath at large M, where a term taken as a
+# difference of log-gamma values would carry about lnGamma(kM) units of
+# roundoff: from M = 29348 that alone would refuse L = 2. From M = 2^52 the
+# sum is the max-signal sum: there each half-moment is taken by mpmath as
+# sqrt(kM) (1 - 1/(8kM) + 1/(128 (kM)^2))
+MAX_SIR_AT_LARGE_M = {
     (2, 29348): (177.8686551498837508, 1e-13),
     (2, 10**6): (1038.279140730858789, 1e-13),
     (2, 10**12): (1038279.427179745103, 1e-13),
@@ -370,7 +371,7 @@ MAX_SIR_PAST_THE_LOG_FORM = {
 }
 
 
-@pytest.mark.parametrize("args,want", sorted(MAX_SIR_PAST_THE_LOG_FORM.items()))
+@pytest.mark.parametrize("args,want", sorted(MAX_SIR_AT_LARGE_M.items()))
 def test_max_sir_rayleigh_at_large_interferer_counts(args, want):
     value, rel = want
     assert analytic.evm_max_sir_rayleigh(*args) == pytest.approx(value, rel=rel, abs=0)

@@ -145,8 +145,6 @@ def test_verification_rerun_is_byte_identical():
 # `scevm verify` prints them. The details carry every value to 9 to 12 digits
 # and every error to 3, so a change of route or of quadrature shows here; a
 # change that moves these lines on purpose rewrites the golden file.
-
-
 def test_analytic_verification_output_is_frozen():
     checks = [check for family in (anchor_checks, reduction_checks,
                                    quadrature_identity_checks, monotonicity_checks,

@@ -431,8 +431,6 @@ def test_fig2_output_is_frozen():
 # fig1 and fig3 at a sample count that leaves a partial last chunk, and seed
 # 3, as written when every chunk was drawn in full; a partial chunk must keep
 # every byte of the rows and their repr, one row per line
-
-
 def test_fig1_and_fig3_output_is_frozen():
     samples = simulate.CHUNK + 4099
     specs = preset("fig1", samples=samples, seed=3) + preset("fig3", samples=samples, seed=3)
